@@ -218,3 +218,16 @@ def is_square_rational(r) -> bool:
     rn = isqrt(fr.numerator)
     rd = isqrt(fr.denominator)
     return rn * rn == fr.numerator and rd * rd == fr.denominator
+
+
+def parse_rational(x) -> Fraction:
+    """A rational from a wire format: an int, a Fraction or a string like
+    ``"9/2"``; anything else (a float, say) raises ValueError."""
+    if isinstance(x, (int, str, Fraction)):
+        return Fraction(x)
+    raise ValueError(f"not a rational literal: {x!r}")
+
+
+def rational_to_json(x: Fraction) -> int | str:
+    """The wire form of a rational: an int when integral, else ``"a/b"``."""
+    return int(x) if x.denominator == 1 else str(x)

@@ -1,7 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 for YES (and informational output), 3 for NO, 4 for
-INCONCLUSIVE, 64 and up for usage errors.
+INCONCLUSIVE, 64 for a malformed command line, 65 for a value the library
+rejects, 66 for a number whose square class trial division cannot certify
+(FactorizationOverflow), and 70 when two decision rules disagree
+(CrossCheckDisagreement, a bug).  Errors print one ``g2tori: error:`` line.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import composition, engine, etale, quadforms, weyl
+from . import arith, composition, engine, etale, quadforms, weyl
 
 EXIT_USAGE = 64
 _EXIT_BY_DECISION = {engine.YES: 0, engine.NO: 3, engine.INCONCLUSIVE: 4}
@@ -24,6 +27,15 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
+
+
+# first match wins, so UsageError precedes its base class ValueError
+_EXIT_BY_ERROR = (
+    (UsageError, EXIT_USAGE),
+    ((ValueError, composition.WitnessSearchExhausted), 65),
+    (arith.FactorizationOverflow, 66),
+    (engine.CrossCheckDisagreement, 70),
+)
 
 
 def _parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -260,12 +272,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"g2tori: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, composition.WitnessSearchExhausted) as exc:
-        print(f"g2tori: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE + 1
+    except Exception as exc:
+        for errors, code in _EXIT_BY_ERROR:
+            if isinstance(exc, errors):
+                print(f"g2tori: error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entry():

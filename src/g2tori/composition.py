@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import squarefree_class
+from .arith import parse_rational, rational_to_json, squarefree_class
 from .etale import QuadraticEtale
 from .hermitian import HermitianForm, normalize_trivial_disc
 from .quadforms import QuadForm, is_isometric, is_isotropic, pfister, represents_subform
@@ -213,20 +213,16 @@ def from_hermitian(d, h: HermitianForm) -> CompositionAlgebra:
 
 
 def algebra_to_json(algebra: CompositionAlgebra) -> dict:
-    return {
-        "cayley_dickson": [
-            int(p) if p.denominator == 1 else str(p) for p in algebra.params
-        ]
-    }
+    return {"cayley_dickson": [rational_to_json(p) for p in algebra.params]}
 
 
 def algebra_from_json(obj) -> CompositionAlgebra:
-    return CompositionAlgebra(tuple(Fraction(x) for x in obj["cayley_dickson"]))
+    return CompositionAlgebra(tuple(parse_rational(x) for x in obj["cayley_dickson"]))
 
 
 def element_to_json(x: Element) -> dict:
-    return {"coords": [int(c) if c.denominator == 1 else str(c) for c in x]}
+    return {"coords": [rational_to_json(c) for c in x]}
 
 
 def element_from_json(algebra: CompositionAlgebra, obj) -> Element:
-    return element(algebra, tuple(Fraction(c) for c in obj["coords"]))
+    return element(algebra, tuple(parse_rational(c) for c in obj["coords"]))

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .arith import SquareClass, squarefree_class
 from .composition import (
+    DEFAULT_WITNESS_BOUND,
     CompositionAlgebra,
     common_slot,
     embeds_quadratic,
@@ -77,15 +78,18 @@ class Verdict:
         }
 
 
-def _find_presentation(C: CompositionAlgebra, d: SquareClass, bound: int = 30):
-    """Parameters (b, c) with norm form <<d, b, c>>; exists whenever the
-    quadratic algebra embeds in C."""
-    target = norm_form(C)
-    for b in square_class_candidates(bound):
-        for c in square_class_candidates(bound):
-            if is_isometric(pfister([d, b, c]), target):
-                return b, c
-    raise RuntimeError("no hermitian presentation found within the search bound")
+def _find_presentation(C: CompositionAlgebra, d: SquareClass):
+    """Parameters (b, c) with norm form <<d, b, c>>, for d embedding in C.
+
+    Over Q a 3-fold Pfister form is hyperbolic at every prime, so it is
+    fixed by its signature.  For split C, b = 1 makes <<d, b, c>>
+    hyperbolic.  For anisotropic C the norm form is positive definite, so
+    an embedding d is negative and <<d, -1, -1>> is positive definite too.
+    """
+    b = c = 1 if is_split(C) else -1
+    if not is_isometric(pfister([d, b, c]), norm_form(C)):
+        raise CrossCheckDisagreement(f"<<{d}, {b}, {c}>> is not the norm form of {C}")
+    return b, c
 
 
 def decide_over_Q(C: CompositionAlgebra, t: TorusType, height: int = DEFAULT_SEARCH_HEIGHT) -> Verdict:
@@ -160,14 +164,11 @@ def decide_over_Q(C: CompositionAlgebra, t: TorusType, height: int = DEFAULT_SEA
     return verdict
 
 
-DEFAULT_WITNESS_SLOT_BOUND = 30
-
-
 def _target_quaternion(C, k1, k2):
     """A quaternion subalgebra containing both quadratic algebras: search a
     slot c making the (k1, c) norm a subform of the norm of C."""
     target = norm_form(C)
-    for c in square_class_candidates(DEFAULT_WITNESS_SLOT_BOUND):
+    for c in square_class_candidates(DEFAULT_WITNESS_BOUND):
         q = pfister([k1, c])
         if is_isometric(q, pfister([k2, c])) and represents_subform(target, q):
             return CompositionAlgebra((k1, c))

@@ -14,7 +14,7 @@ from itertools import product as _cartesian
 
 from .arith import SquareClass, is_square_rational, squarefree_class
 from .quadforms import QuadForm, quadform_from_gram
-from .weyl import A3, IDENTITY_PERM, S3, WeylElement, perm_sign, weyl_element
+from .weyl import A3, IDENTITY_PERM, S3, WeylElement, det3, mat_mul, perm_sign, trace, weyl_element
 
 
 class ReduciblePolynomial(ValueError):
@@ -116,15 +116,8 @@ def basis_mult_matrices(l: CubicEtale) -> tuple:
     c0, c1, c2 = l.poly
     m0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     m1 = ((0, 0, -c0), (1, 0, -c1), (0, 1, -c2))  # companion matrix of the cubic
-    m2 = _imat_mul(m1, m1)
+    m2 = mat_mul(m1, m1)
     return (m0, m1, m2)
-
-
-def _imat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
 
 
 def coerce_element(l: CubicEtale, lam) -> tuple[Fraction, Fraction, Fraction]:
@@ -146,17 +139,7 @@ def mult_matrix(l: CubicEtale, lam):
 
 
 def element_norm(l: CubicEtale, lam) -> Fraction:
-    m = mult_matrix(l, lam)
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def element_trace(l: CubicEtale, lam) -> Fraction:
-    m = mult_matrix(l, lam)
-    return m[0][0] + m[1][1] + m[2][2]
+    return det3(mult_matrix(l, lam))
 
 
 def norm_is_square(l: CubicEtale, lam) -> bool:
@@ -173,25 +156,12 @@ def trace_transfer_form(l: CubicEtale, lam) -> QuadForm:
     Gram entries are traces Tr(lam * b_i * b_j) computed from multiplication
     matrices in the component or power basis.
     """
-    lam = coerce_element(l, lam)
-    if element_norm(l, lam) == 0:
+    mlam = mult_matrix(l, lam)
+    if det3(mlam) == 0:
         raise NonUnitLambda("transfer needs an invertible scaling element")
     mats = basis_mult_matrices(l)
-    mlam = mult_matrix(l, lam)
-    gram = [[Fraction(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        mi = _fmat_mul(mlam, mats[i])
-        for j in range(3):
-            mij = _fmat_mul(mi, mats[j])
-            gram[i][j] = mij[0][0] + mij[1][1] + mij[2][2]
-    return quadform_from_gram(gram)
-
-
-def _fmat_mul(a, b):
-    return tuple(
-        tuple(sum(Fraction(a[i][k]) * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+    products = [mat_mul(mlam, m) for m in mats]
+    return quadform_from_gram([[trace(mat_mul(mi, mj)) for mj in mats] for mi in products])
 
 
 def galois_image(t: TorusType) -> tuple[WeylElement, ...]:

@@ -16,6 +16,8 @@ from math import isqrt
 from .arith import (
     SquareClass,
     hilbert_symbol,
+    parse_rational,
+    rational_to_json,
     relevant_places,
     squarefree_class,
 )
@@ -35,6 +37,7 @@ from .quadforms import (
     scale,
     tensor,
 )
+from .weyl import det3, mat_mul, trace
 
 
 class NontrivialDiscriminant(ValueError):
@@ -82,7 +85,8 @@ def normalize_trivial_disc(h: HermitianForm) -> tuple[SquareClass, SquareClass]:
         raise NontrivialDiscriminant("h has nontrivial hermitian discriminant")
     b = squarefree_class(-h.diag[0])
     c = squarefree_class(-h.diag[1])
-    assert hermitian_isometric(h, HermitianForm(h.d, (-b, -c, b * c)))
+    if not hermitian_isometric(h, HermitianForm(h.d, (-b, -c, b * c))):
+        raise AssertionError("h is not isometric to its normalization <-b, -c, bc>")
     return b, c
 
 
@@ -112,21 +116,6 @@ def is_distinguished(h: HermitianForm) -> bool:
     return is_isotropic(pi_form(h))
 
 
-def _mat3(entries):
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
-def _mat3_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def _mat3_trace(a):
-    return a[0][0] + a[1][1] + a[2][2]
-
-
 def involution_trace_form(h: HermitianForm) -> QuadForm:
     """The 9-dimensional trace form Trd(XY) on tau_h-symmetric 3x3 matrices.
 
@@ -139,29 +128,31 @@ def involution_trace_form(h: HermitianForm) -> QuadForm:
         raise NontrivialDiscriminant("h has nontrivial hermitian discriminant")
     a = h.diag
     d = h.d
+    zero = [[0] * 3 for _ in range(3)]
     basis = []
     for i in range(3):
-        ei = [[Fraction(0)] * 3 for _ in range(3)]
-        ei[i][i] = Fraction(1)
-        basis.append((_mat3(ei), _mat3([[0] * 3] * 3)))
+        ei = [[0] * 3 for _ in range(3)]
+        ei[i][i] = 1
+        basis.append((ei, zero))
     for i in range(3):
         for j in range(i + 1, 3):
-            sym = [[Fraction(0)] * 3 for _ in range(3)]
+            sym = [[0] * 3 for _ in range(3)]
             sym[i][j] = a[j]
             sym[j][i] = a[i]
-            basis.append((_mat3(sym), _mat3([[0] * 3] * 3)))
+            basis.append((sym, zero))
     for i in range(3):
         for j in range(i + 1, 3):
-            alt = [[Fraction(0)] * 3 for _ in range(3)]
+            alt = [[0] * 3 for _ in range(3)]
             alt[i][j] = a[j]
             alt[j][i] = -a[i]
-            basis.append((_mat3([[0] * 3] * 3), _mat3(alt)))
+            basis.append((zero, alt))
     gram = [[Fraction(0)] * 9 for _ in range(9)]
     for i, (a1, b1) in enumerate(basis):
         for j, (a2, b2) in enumerate(basis):
-            rational = _mat3_trace(_mat3_mul(a1, a2)) + d * _mat3_trace(_mat3_mul(b1, b2))
-            irrational = _mat3_trace(_mat3_mul(a1, b2)) + _mat3_trace(_mat3_mul(b1, a2))
-            assert irrational == 0  # the trace of a product of symmetric elements is rational
+            rational = trace(mat_mul(a1, a2)) + d * trace(mat_mul(b1, b2))
+            irrational = trace(mat_mul(a1, b2)) + trace(mat_mul(b1, a2))
+            if irrational != 0:
+                raise AssertionError("the trace of a product of symmetric elements must be rational")
             gram[i][j] = rational
     return quadform_from_gram(gram)
 
@@ -192,11 +183,7 @@ def lambda_witness_search(l: CubicEtale, d, b, c, height: int):
             [sum(lam[k] * mats[k][i][j] for k in range(3)) for j in range(3)]
             for i in range(3)
         ]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        det = det3(m)
         if det <= 0:
             continue
         r = isqrt(det)
@@ -212,15 +199,11 @@ def hermitian_to_json(h: HermitianForm) -> dict:
     return {
         "hermitian": {
             "d": h.d,
-            "diag": [int(x) if x.denominator == 1 else str(x) for x in h.diag],
+            "diag": [rational_to_json(x) for x in h.diag],
         }
     }
 
 
-def _parse_rational(x):
-    return Fraction(x) if isinstance(x, str) else Fraction(x)
-
-
 def hermitian_from_json(obj) -> HermitianForm:
     spec = obj["hermitian"]
-    return HermitianForm(spec["d"], tuple(_parse_rational(x) for x in spec["diag"]))
+    return HermitianForm(spec["d"], tuple(parse_rational(x) for x in spec["diag"]))

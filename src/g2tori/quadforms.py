@@ -19,6 +19,7 @@ from .arith import (
     SquareClass,
     hilbert_symbol,
     is_local_square,
+    parse_rational,
     relevant_places,
     squarefree_class,
 )
@@ -280,7 +281,7 @@ def quadform_to_json(q: QuadForm) -> dict:
 
 
 def quadform_from_json(obj) -> QuadForm:
-    return QuadForm(tuple(_parse_rational(x) for x in obj["diag"]))
+    return QuadForm(tuple(parse_rational(x) for x in obj["diag"]))
 
 
 def laurent_to_json(f: LaurentForm) -> dict:
@@ -289,14 +290,6 @@ def laurent_to_json(f: LaurentForm) -> dict:
 
 def laurent_from_json(obj) -> LaurentForm:
     return LaurentForm(
-        QuadForm(tuple(_parse_rational(x) for x in obj["q1"])),
-        QuadForm(tuple(_parse_rational(x) for x in obj["q2"])),
+        QuadForm(tuple(parse_rational(x) for x in obj["q1"])),
+        QuadForm(tuple(parse_rational(x) for x in obj["q2"])),
     )
-
-
-def _parse_rational(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise ValueError(f"not a rational literal: {x!r}")

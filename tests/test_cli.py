@@ -1,5 +1,6 @@
 import json
 
+from g2tori import engine
 from g2tori.cli import main
 
 
@@ -122,3 +123,28 @@ def test_usage_errors(capsys):
          "--cubic", "field:-1,1,-1"]
     )
     assert code >= 64  # reducible cubic
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("g2tori: error:") and err.count("\n") == 1, err
+
+
+def test_factorization_overflow_exit_code(capsys):
+    assert main(["form", "isotropic", "--diag=1000036000099,1"]) == 66
+    _one_error_line(capsys)
+    code = main(
+        ["embed", "decide", "--octonion=-1,-1,-1", "--quadratic=1000036000099", "--cubic=split"]
+    )
+    assert code == 66
+    _one_error_line(capsys)
+
+
+def test_crosscheck_disagreement_exit_code(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise engine.CrossCheckDisagreement("biquadratic rule disagrees")
+
+    monkeypatch.setattr(engine, "decide_over_Q", disagree)
+    code = main(["embed", "decide", "--octonion=-1,-1,-1", "--quadratic=-1", "--cubic=split"])
+    assert code == 70
+    _one_error_line(capsys)

@@ -242,3 +242,11 @@ def test_json_round_trip():
     x = (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0))
     packed = element_to_json(x)
     assert element_from_json(CompositionAlgebra((1, 2)), packed) == x
+    packed = {"cayley_dickson": [-1, "1/2", 3]}
+    assert algebra_to_json(algebra_from_json(packed)) == packed
+    coords = {"coords": [1, "-2/3", 0, 5]}
+    assert element_to_json(element_from_json(CompositionAlgebra((1, 2)), coords)) == coords
+    with pytest.raises(ValueError):
+        algebra_from_json({"cayley_dickson": [0.1, -1, -1]})
+    with pytest.raises(ValueError):
+        element_from_json(CompositionAlgebra((1, 2)), {"coords": [0.5, 0, 0, 0]})

@@ -1,12 +1,17 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from g2tori.composition import CompositionAlgebra, norm_form
+from g2tori.cli import _parse_cubic
+from g2tori.composition import CompositionAlgebra, embeds_quadratic, is_split, norm_form
 from g2tori.engine import (
     INCONCLUSIVE,
     NO,
     YES,
     InvalidScenario,
     LaurentScenario,
+    _find_presentation,
     decide_over_Q,
     decide_over_R,
     decide_laurent_counterexample,
@@ -159,3 +164,42 @@ def test_verdict_json_shape():
     assert set(packed) == {"decision", "rule", "witnesses", "crosschecks"}
     assert packed["decision"] == YES and packed["rule"] == "R1"
     assert all(isinstance(pair, list) and len(pair) == 2 for pair in packed["crosschecks"])
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "grid_golden.jsonl"
+
+
+def test_grid_verdicts_match_golden():
+    """Every grid verdict whose lambda search ends before exhaustion is
+    byte-identical to the frozen one; the 25 exhaustive searches are slow,
+    and the acceptance grid still decides them."""
+    checked = 0
+    for line in GOLDEN.read_text().splitlines():
+        row = json.loads(line)
+        if ["hermitian-criterion", INCONCLUSIVE] in row["verdict"]["crosschecks"]:
+            continue
+        inst = row["instance"]
+        algebra = CompositionAlgebra(tuple(inst["octonion"]))
+        verdict = decide_over_Q(algebra, _type(inst["d"], _parse_cubic(inst["cubic"])))
+        got = json.dumps(verdict.to_json(), sort_keys=True)
+        assert got == json.dumps(row["verdict"], sort_keys=True), inst
+        checked += 1
+    assert checked == 175
+
+
+@pytest.mark.parametrize("params", [(2, 3, 25), (-2, -3, -7)])
+@pytest.mark.parametrize("d", [-1, -5])
+def test_presentation_is_the_first_search_hit(params, d):
+    C = CompositionAlgebra(params)
+    assert embeds_quadratic(C, QuadraticEtale(d))
+    b, c = _find_presentation(C, d)
+    assert (b, c) == ((1, 1) if is_split(C) else (-1, -1))
+    # the brute-force search over the candidates 1, -1, 2, -2 finds it first
+    candidates = (1, -1, 2, -2)
+    first = next(
+        (x, y)
+        for x in candidates
+        for y in candidates
+        if is_isometric(pfister([d, x, y]), norm_form(C))
+    )
+    assert (b, c) == first

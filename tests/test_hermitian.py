@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import g2tori
 from g2tori.composition import from_hermitian, norm_form
 from g2tori.etale import CubicEtale
 from g2tori.hermitian import (
@@ -192,3 +197,29 @@ def test_json_round_trip():
     packed = hermitian_to_json(h)
     assert packed == {"hermitian": {"d": -1, "diag": [1, "1/2", 1]}}
     assert hermitian_from_json(packed) == h
+    packed = {"hermitian": {"d": -1, "diag": [2, "9/2", -3]}}
+    assert hermitian_to_json(hermitian_from_json(packed)) == packed
+    with pytest.raises(ValueError):
+        hermitian_from_json({"hermitian": {"d": -1, "diag": [0.1, 1, 1]}})
+
+
+_BROKEN_ISOMETRY = """
+import g2tori.hermitian as hm
+if __debug__:
+    raise SystemExit(2)  # not running under -O
+hm.hermitian_isometric = lambda h1, h2: False
+try:
+    hm.normalize_trivial_disc(hm.HermitianForm(-1, (1, 1, 1)))
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+def test_normalization_check_survives_optimize():
+    src = str(Path(g2tori.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_ISOMETRY],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,7 @@ from g2tori.weyl import (
     smith_normal_form,
     subgroup_closure,
     torus_cocharacter_lattice,
+    transpose,
     verify_exact,
     verify_h1_vanishing,
     w_identity,
@@ -188,6 +189,13 @@ def test_dual_involution():
             assert double.act(g) == lat.act(g)
         for sub in (named_subgroup("center"), named_subgroup("A3"), named_subgroup("Z2xS3")):
             assert h1(sub, double) == h1(sub, lat)
+
+
+def test_dual_acts_by_inverse_transpose():
+    for lat in lattice_catalog().lattices.values():
+        for g in build_w0():
+            product = mat_mul(transpose(lat.dual().act(g)), lat.act(g))
+            assert product == identity_matrix(lat.rank)
 
 
 def test_cocharacter_lattice_is_dual_of_torus_characters():
