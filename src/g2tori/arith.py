@@ -79,9 +79,9 @@ def squarefree_class(r, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
     0 and FactorizationOverflow when a cofactor cannot be certified by trial
     division up to ``bound`` (cofactors up to ``bound**2`` are provably prime
     and perfect-square cofactors drop out, so only genuinely large factors
-    overflow).
+    overflow).  Like ``parse_rational`` it rejects floats with ValueError.
     """
-    fr = Fraction(r)
+    fr = parse_rational(r)
     if fr == 0:
         raise ZeroInput("0 has no square class")
     # n/d and n*d differ by the square d^2

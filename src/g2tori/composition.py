@@ -43,7 +43,7 @@ class CompositionAlgebra:
     params: tuple[Fraction, ...]
 
     def __post_init__(self):
-        params = tuple(Fraction(x) for x in self.params)
+        params = tuple(parse_rational(x) for x in self.params)
         if len(params) > 3:
             raise ValueError("at most three doubling steps (dimension 8)")
         if any(x == 0 for x in params):

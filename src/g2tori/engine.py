@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import SquareClass, squarefree_class
+from .arith import SquareClass, parse_rational, squarefree_class
 from .composition import (
     DEFAULT_WITNESS_BOUND,
     CompositionAlgebra,
@@ -198,8 +198,8 @@ class LaurentScenario:
     l: CubicEtale
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", parse_rational(self.a))
+        object.__setattr__(self, "b", parse_rational(self.b))
         object.__setattr__(self, "d", squarefree_class(self.d))
 
     def quaternion_norm(self) -> QuadForm:

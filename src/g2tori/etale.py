@@ -3,7 +3,11 @@
 Discriminants, Galois images inside Z/2 x S3, norms, and trace-transfer
 forms.  Elements of a cubic algebra are coordinate triples: components for
 the split and partially split variants, power-basis coordinates for a cubic
-field given by a monic integer polynomial.
+field given by a monic integer polynomial.  A field generator is checked
+for rational roots by integer bisection, in time polynomial in its digits.
+The transfer form Tr(lam x^2) is linear in lam: its Gram matrix is built
+from the integer tensors Tr(b_k b_i b_j), and the lambda candidates of the
+hermitian search come one height shell at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from math import isqrt
 
 from .arith import SquareClass, is_square_rational, squarefree_class
 from .quadforms import QuadForm, quadform_from_gram
@@ -56,6 +61,8 @@ class CubicEtale:
 
     @staticmethod
     def field(c0: int, c1: int, c2: int) -> "CubicEtale":
+        if not all(isinstance(c, int) for c in (c0, c1, c2)):
+            raise ValueError("cubic coefficients must be integers")
         if _has_rational_root(c0, c1, c2):
             raise ReduciblePolynomial(
                 "cubic factors over Q; use split() or partial(e) instead"
@@ -66,16 +73,38 @@ class CubicEtale:
 
 
 def _has_rational_root(c0, c1, c2) -> bool:
-    # monic integer cubic: a rational root is an integer divisor of c0
-    if c0 == 0:
-        return True
-    for r in range(1, abs(c0) + 1):
-        if abs(c0) % r:
-            continue
-        for root in (r, -r):
-            if root ** 3 + c2 * root ** 2 + c1 * root + c0 == 0:
-                return True
-    return False
+    """Whether the monic integer cubic x^3+c2x^2+c1x+c0 has a rational root.
+
+    A rational root is an integer r with |r| <= 1 + max|c_i| (Cauchy).  f is
+    monotone on each side of its real critical points
+    (-c2 -+ sqrt(c2^2-3c1))/3, so integer bisection on the three monotone
+    stretches finds any integer root with O(digits) evaluations.
+    """
+
+    def f(x):
+        return ((x + c2) * x + c1) * x + c0
+
+    bound = 1 + max(abs(c0), abs(c1), abs(c2))
+
+    def root_in(lo, hi, sign):
+        # sign * f is increasing on the integers lo..hi
+        lo, hi = max(lo, -bound), min(hi, bound)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo == hi and f(lo) == 0
+
+    disc = c2 * c2 - 3 * c1
+    if disc <= 0:  # f' = 3x^2 + 2c2x + c1 >= 0: f increasing
+        return root_in(-bound, bound, 1)
+    s = isqrt(disc)
+    # u1 < x1 <= u1 + 1 and u2 <= x2 < u2 + 1 for the critical points x1 < x2,
+    # since s <= sqrt(disc) < s + 1 and both bounds are thirds of integers
+    u1, u2 = (-c2 - s - 1) // 3, (s - c2) // 3
+    return root_in(-bound, u1, 1) or root_in(u1 + 1, u2, -1) or root_in(u2 + 1, bound, 1)
 
 
 def _cubic_disc(c0, c1, c2) -> int:
@@ -150,18 +179,43 @@ def norm_is_square(l: CubicEtale, lam) -> bool:
     return is_square_rational(n)
 
 
+def transfer_tensors(l: CubicEtale) -> tuple:
+    """Integer tensors T_k[i][j] = Tr(b_k b_i b_j) of the basis b.
+
+    Tr(lam * x^2) is linear in lam, so its Gram matrix is sum_k lam_k T_k.
+    Column j of M_i holds the coordinates of b_i b_j, and
+    Tr(b_k b_a) = sum_r Tr(b_r) (M_k)[r][a].
+    """
+    mats = basis_mult_matrices(l)
+    tr = [trace(m) for m in mats]
+    pair = [[sum(tr[r] * m[r][a] for r in range(3)) for a in range(3)] for m in mats]
+    return tuple(
+        tuple(tuple(sum(w[a] * m[a][j] for a in range(3)) for j in range(3)) for m in mats)
+        for w in pair
+    )
+
+
+def transfer_gram(tensors, lam) -> list[list]:
+    """Gram matrix sum_k lam_k T_k of x -> Tr(lam * x^2)."""
+    t0, t1, t2 = tensors
+    x, y, z = lam
+    return [
+        [x * a + y * b + z * c for a, b, c in zip(r0, r1, r2)]
+        for r0, r1, r2 in zip(t0, t1, t2)
+    ]
+
+
 def trace_transfer_form(l: CubicEtale, lam) -> QuadForm:
     """The 3-dimensional form x -> Tr(lam * x^2), diagonalized.
 
-    Gram entries are traces Tr(lam * b_i * b_j) computed from multiplication
-    matrices in the component or power basis.
+    The Gram matrix is sum_k lam_k T_k over the integer tensors of
+    ``transfer_tensors``; lam may be rational.
     """
-    mlam = mult_matrix(l, lam)
-    if det3(mlam) == 0:
+    lam = coerce_element(l, lam)
+    if element_norm(l, lam) == 0:
         raise NonUnitLambda("transfer needs an invertible scaling element")
-    mats = basis_mult_matrices(l)
-    products = [mat_mul(mlam, m) for m in mats]
-    return quadform_from_gram([[trace(mat_mul(mi, mj)) for mj in mats] for mi in products])
+    lam = tuple(x.numerator if x.denominator == 1 else x for x in lam)
+    return quadform_from_gram(transfer_gram(transfer_tensors(l), lam))
 
 
 def galois_image(t: TorusType) -> tuple[WeylElement, ...]:
@@ -192,11 +246,19 @@ def galois_image(t: TorusType) -> tuple[WeylElement, ...]:
 
 
 def lambda_candidates(height: int):
-    """Integer coordinate triples ordered by height, then lexicographically."""
+    """Integer coordinate triples ordered by height, then lexicographically.
+
+    Each height shell max|x_i| = h is generated directly: a triple whose
+    first or second coordinate reaches h takes every last coordinate, any
+    other only -h and h.
+    """
     for h in range(1, height + 1):
-        for lam in _cartesian(range(-h, h + 1), repeat=3):
-            if max(abs(x) for x in lam) == h:
-                yield lam
+        full = range(-h, h + 1)
+        ends = (-h, h)
+        for a in full:
+            for b in full:
+                for c in full if h in (abs(a), abs(b)) else ends:
+                    yield (a, b, c)
 
 
 def quadratic_to_json(kp: QuadraticEtale) -> dict:

@@ -26,13 +26,15 @@ from .etale import (
     basis_mult_matrices,
     cubic_discriminant,
     lambda_candidates,
-    trace_transfer_form,
+    transfer_gram,
+    transfer_tensors,
 )
 from .quadforms import (
     QuadForm,
     is_isometric,
     is_isotropic,
     pfister,
+    positive_count,
     quadform_from_gram,
     scale,
     tensor,
@@ -57,7 +59,7 @@ class HermitianForm:
 
     def __post_init__(self):
         object.__setattr__(self, "d", squarefree_class(self.d))
-        entries = tuple(Fraction(x) for x in self.diag)
+        entries = tuple(parse_rational(x) for x in self.diag)
         if len(entries) != 3 or any(x == 0 for x in entries):
             raise ValueError("a rank-3 hermitian form needs three nonzero entries")
         object.__setattr__(self, "diag", entries)
@@ -161,10 +163,22 @@ def check_condition_ii(d, delta, t_form: QuadForm, b, c) -> bool:
     """<<d>> tensor delta*t is isometric to <<d>> tensor <-b,-c,bc>."""
     if t_form.dim != 3:
         raise ValueError("the transfer form must be 3-dimensional")
-    d = squarefree_class(d)
-    lhs = tensor(pfister([d]), scale(t_form, delta))
-    rhs = tensor(pfister([d]), QuadForm((-b, -c, Fraction(b) * Fraction(c))))
-    return is_isometric(lhs, rhs)
+    return _condition_ii(*_condition_ii_sides(d, b, c), delta, t_form)
+
+
+def _condition_ii_sides(d, b, c) -> tuple[QuadForm, QuadForm]:
+    """<<d>> and the right-hand side <<d>> tensor <-b,-c,bc> of condition (ii)."""
+    doubled = pfister([d])
+    return doubled, tensor(doubled, QuadForm((-b, -c, Fraction(b) * Fraction(c))))
+
+
+def _condition_ii(doubled: QuadForm, rhs: QuadForm, delta, t_form: QuadForm) -> bool:
+    # the real place decides most transfer forms: compare signatures before
+    # the left-hand side is built and its entries are factored
+    scaled = [delta * t for t in t_form.diag]
+    if positive_count([a * s for a in doubled.diag for s in scaled]) != positive_count(rhs.diag):
+        return False
+    return is_isometric(tensor(doubled, scale(t_form, delta)), rhs)
 
 
 def lambda_witness_search(l: CubicEtale, d, b, c, height: int):
@@ -172,25 +186,29 @@ def lambda_witness_search(l: CubicEtale, d, b, c, height: int):
     satisfying the transfer isometry; None when the search space is
     exhausted.  None is never a NO: the caller interprets it as
     inconclusive at this height.
+
+    The inner loop is integer-only: the norm is the determinant of
+    sum_k lam_k M_k over the basis multiplication matrices, and the
+    transfer Gram matrix is sum_k lam_k T_k over ``transfer_tensors``.  The
+    right-hand side of condition (ii) is built once per search.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
-    d = squarefree_class(d)
     delta = cubic_discriminant(l)
-    mats = basis_mult_matrices(l)
+    # per matrix entry (i, j), its coefficients in M_0, M_1, M_2
+    entries = [list(zip(*rows)) for rows in zip(*basis_mult_matrices(l))]
+    tensors = transfer_tensors(l)
+    doubled, rhs = _condition_ii_sides(d, b, c)
     for lam in lambda_candidates(height):
-        m = [
-            [sum(lam[k] * mats[k][i][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        det = det3(m)
+        x, y, z = lam
+        det = det3([[x * p + y * q + z * r for p, q, r in row] for row in entries])
         if det <= 0:
             continue
-        r = isqrt(det)
-        if r * r != det:
+        root = isqrt(det)
+        if root * root != det:
             continue
-        t_form = trace_transfer_form(l, lam)
-        if check_condition_ii(d, delta, t_form, b, c):
+        t_form = quadform_from_gram(transfer_gram(tensors, lam))
+        if _condition_ii(doubled, rhs, delta, t_form):
             return lam, t_form
     return None
 

@@ -3,7 +3,8 @@
 Complete invariants (dimension, signed determinant, signature, Hasse
 symbols), isometry and Hasse-Minkowski isotropy decisions, Pfister
 constructors, Witt decomposition, and the two-residue model for forms over
-the Laurent series field Q((t)).
+the Laurent series field Q((t)).  Gram matrices are diagonalized by
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .arith import (
     Place,
@@ -83,7 +85,7 @@ def _invariants(diag: tuple[SquareClass, ...]) -> FormInvariants:
     if dim == 0:
         return FormInvariants(0, 1, (0, 0), {})
     disc = squarefree_class(_product(diag))
-    pos = sum(1 for a in diag if a > 0)
+    pos = positive_count(diag)
     hasse = {}
     for v in relevant_places(diag):
         eps = 1
@@ -105,8 +107,19 @@ def invariants(q: QuadForm) -> FormInvariants:
     return _invariants(q.diag)
 
 
+def positive_count(entries) -> int:
+    """Number of positive entries: the signature's first half."""
+    return sum(1 for a in entries if a > 0)
+
+
 def is_isometric(q1: QuadForm, q2: QuadForm) -> bool:
-    """Isometry over Q; dim, disc, signature and Hasse symbols are complete."""
+    """Isometry over Q; dim, disc, signature and Hasse symbols are complete.
+
+    Dimension and signature are read off the entries first, so forms that
+    differ at the real place need no Hasse symbols.
+    """
+    if q1.dim != q2.dim or positive_count(q1.diag) != positive_count(q2.diag):
+        return False
     return invariants(q1) == invariants(q2)
 
 
@@ -216,52 +229,60 @@ def laurent_is_isotropic(f: LaurentForm) -> bool:
 def gram_diagonal(rows) -> list[Fraction]:
     """Diagonal entries of a symmetric rational matrix under congruence.
 
-    Exact symmetric Gauss reduction; raises on degenerate input.
+    Fraction-free (Bareiss) symmetric elimination (Cohen, *A Course in
+    Computational Algebraic Number Theory*, section 2.2).  Rational input
+    is first scaled to the integer Gram matrix of the basis multiplied by
+    the common denominator L.  After k pivots the active block holds D_k
+    times the Schur complement, where D_k is the k-th leading principal
+    minor, so every update divides exactly and the k-th pivot is
+    D_k / D_(k-1) / L^2, a reduced Fraction.  A zero pivot is replaced by
+    the next nonzero diagonal entry (a swap) or, failing that, made
+    nonzero by the basis move e_i += e_j on the first nonzero off-diagonal
+    entry.  Raises ValueError on degenerate input.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    lsq = 1  # L^2
+    if any(type(x) is not int for row in m for x in row):
+        m = [[Fraction(x) for x in row] for row in m]
+        lsq = lcm(*(x.denominator for row in m for x in row)) ** 2
+        m = [[int(x * lsq) for x in row] for row in m]
     diag = []
+    minor = 1  # the leading principal minor of the pivots taken so far
     for k in range(n):
         if m[k][k] == 0:
-            pivot = None
-            for i in range(k + 1, n):
-                if m[i][i] != 0:
-                    pivot = i
-                    break
+            pivot = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
             if pivot is not None:
                 _swap_sym(m, k, pivot)
             else:
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if m[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
+                found = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0),
+                    None,
+                )
                 if found is None:
                     raise ValueError("degenerate symmetric matrix")
                 i, j = found
                 # basis move e_i += e_j makes the (i,i) entry 2*m[i][j]
-                for t in range(n):
+                for t in range(k, n):
                     m[i][t] += m[j][t]
-                for t in range(n):
+                for t in range(k, n):
                     m[t][i] += m[t][j]
                 if i != k:
                     _swap_sym(m, k, i)
         p = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
-            f = m[i][k] / p
-            if f == 0:
-                continue
-            for t in range(n):
-                m[i][t] -= f * m[k][t]
-            for t in range(n):
-                m[t][i] -= f * m[t][k]
-        diag.append(p)
+            row_i = m[i]
+            f = row_i[k]
+            for j in range(i, n):
+                row_i[j] = (p * row_i[j] - f * row_k[j]) // minor
+                m[j][i] = row_i[j]
+        diag.append(Fraction(p, minor * lsq))
+        minor = p
     return diag
 
 

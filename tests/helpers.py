@@ -2,13 +2,15 @@
 
 These deliberately avoid the code paths they check: isotropy by integer
 vector search, Hilbert symbols by bounded solubility search, isometry
-inputs by random congruence transforms, and cyclic H^1 by the closed-form
-ker(Norm)/im(g-1).
+inputs by random congruence transforms, cyclic H^1 by the closed-form
+ker(Norm)/im(g-1), Gram diagonalization by Fraction Gauss elimination,
+and transfer Gram matrices by Fraction matrix products.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from g2tori.etale import basis_mult_matrices, mult_matrix
 from g2tori.quadforms import QuadForm, quadform_from_gram
 from g2tori.weyl import (
     identity_matrix,
@@ -16,6 +18,7 @@ from g2tori.weyl import (
     mat_mul,
     snf_diagonal,
     solve_rational,
+    trace,
     w_mul,
     w_identity,
 )
@@ -170,3 +173,68 @@ def random_nonzero_rational(rng, num_bound=9, den_bound=3) -> Fraction:
 
 def random_element(rng, dim, num_bound=5) -> tuple:
     return tuple(Fraction(rng.randint(-num_bound, num_bound)) for _ in range(dim))
+
+
+def gram_diagonal_fraction(rows):
+    """Pivots of symmetric Gauss elimination over Fractions.
+
+    A zero pivot is replaced by the next nonzero diagonal entry, or made
+    nonzero by the basis move e_i += e_j on the first nonzero off-diagonal
+    entry; raises ValueError on degenerate input.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    diag = []
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = None
+            for i in range(k + 1, n):
+                if m[i][i] != 0:
+                    pivot = i
+                    break
+            if pivot is not None:
+                _swap_sym(m, k, pivot)
+            else:
+                found = None
+                for i in range(k, n):
+                    for j in range(i + 1, n):
+                        if m[i][j] != 0:
+                            found = (i, j)
+                            break
+                    if found:
+                        break
+                if found is None:
+                    raise ValueError("degenerate symmetric matrix")
+                i, j = found
+                for t in range(n):
+                    m[i][t] += m[j][t]
+                for t in range(n):
+                    m[t][i] += m[t][j]
+                if i != k:
+                    _swap_sym(m, k, i)
+        p = m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / p
+            if f == 0:
+                continue
+            for t in range(n):
+                m[i][t] -= f * m[k][t]
+            for t in range(n):
+                m[t][i] -= f * m[t][k]
+        diag.append(p)
+    return diag
+
+
+def _swap_sym(m, i, j):
+    m[i], m[j] = m[j], m[i]
+    for row in m:
+        row[i], row[j] = row[j], row[i]
+
+
+def transfer_gram_fraction(l, lam):
+    """Gram matrix Tr(lam * b_i * b_j) from Fraction multiplication-matrix
+    products."""
+    mlam = mult_matrix(l, lam)
+    mats = basis_mult_matrices(l)
+    products = [mat_mul(mlam, m) for m in mats]
+    return [[trace(mat_mul(mi, mj)) for mj in mats] for mi in products]

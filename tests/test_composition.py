@@ -249,4 +249,6 @@ def test_json_round_trip():
     with pytest.raises(ValueError):
         algebra_from_json({"cayley_dickson": [0.1, -1, -1]})
     with pytest.raises(ValueError):
+        CompositionAlgebra((0.1, -1, -1))
+    with pytest.raises(ValueError):
         element_from_json(CompositionAlgebra((1, 2)), {"coords": [0.5, 0, 0, 0]})

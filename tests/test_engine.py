@@ -147,6 +147,11 @@ def test_invalid_scenarios():
         decide_laurent_counterexample(LaurentScenario(-1, -1, -1, X3_2))  # not Galois
     with pytest.raises(InvalidScenario):
         decide_laurent_counterexample(LaurentScenario(-1, -1, -1, CubicEtale.split()))
+    # floats are rejected when the scenario is built, not read as binary values
+    with pytest.raises(ValueError):
+        LaurentScenario(-0.5, -1, -1, X3_3X_1)
+    with pytest.raises(ValueError):
+        LaurentScenario(-1, -1, -1.0, X3_3X_1)
 
 
 def test_odd_degree_reduction():
@@ -170,21 +175,18 @@ GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "grid_golden.jsonl"
 
 
 def test_grid_verdicts_match_golden():
-    """Every grid verdict whose lambda search ends before exhaustion is
-    byte-identical to the frozen one; the 25 exhaustive searches are slow,
-    and the acceptance grid still decides them."""
+    """Every grid verdict, the 25 exhaustive lambda searches included, is
+    byte-identical to the frozen one."""
     checked = 0
     for line in GOLDEN.read_text().splitlines():
         row = json.loads(line)
-        if ["hermitian-criterion", INCONCLUSIVE] in row["verdict"]["crosschecks"]:
-            continue
         inst = row["instance"]
         algebra = CompositionAlgebra(tuple(inst["octonion"]))
         verdict = decide_over_Q(algebra, _type(inst["d"], _parse_cubic(inst["cubic"])))
         got = json.dumps(verdict.to_json(), sort_keys=True)
         assert got == json.dumps(row["verdict"], sort_keys=True), inst
         checked += 1
-    assert checked == 175
+    assert checked == 200
 
 
 @pytest.mark.parametrize("params", [(2, 3, 25), (-2, -3, -7)])

@@ -1,7 +1,12 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from g2tori.etale import (
     CubicEtale,
@@ -13,15 +18,20 @@ from g2tori.etale import (
     cubic_from_json,
     cubic_to_json,
     element_norm,
+    _has_rational_root,
     galois_image,
+    lambda_candidates,
     mult_matrix,
     norm_is_square,
     quadratic_from_json,
     quadratic_to_json,
     trace_transfer_form,
+    transfer_gram,
+    transfer_tensors,
 )
 from g2tori.quadforms import QuadForm, is_isometric
 from g2tori.weyl import perm_sign
+from helpers import gram_diagonal_fraction, transfer_gram_fraction
 
 
 X3_3X_1 = CubicEtale.field(-1, -3, 0)  # x^3 - 3x - 1, discriminant 81
@@ -60,6 +70,47 @@ def test_reducible_rejection():
         CubicEtale.field(0, -1, 0)  # x(x^2-1)
     with pytest.raises(ValueError):
         CubicEtale.partial(4)  # square class 1 means split
+    for coefficients in ((-1, -3.5, 0), (-1.0, -3, 0)):
+        with pytest.raises(ValueError):
+            CubicEtale.field(*coefficients)
+
+
+_X = sympy.symbols("x")
+
+
+def _reducible_by_sympy(c0, c1, c2):
+    return not sympy.Poly(_X ** 3 + c2 * _X ** 2 + c1 * _X + c0, _X).is_irreducible
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-60, 60), st.integers(-60, 60))
+def test_rational_root_test_matches_sympy(c0, c1, c2):
+    assert _has_rational_root(c0, c1, c2) == _reducible_by_sympy(c0, c1, c2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10 ** 5, 10 ** 5), st.integers(-10 ** 3, 10 ** 3), st.integers(-10 ** 3, 10 ** 3))
+def test_rational_root_test_finds_planted_roots(r, p, q):
+    # (x - r)(x^2 + p x + q), so roots sit on and between critical points
+    c2, c1, c0 = p - r, q - r * p, -r * q
+    assert _has_rational_root(c0, c1, c2)
+
+
+def test_rational_root_test_small_cubics():
+    # roots on a critical point, a triple root, and one root per monotone stretch
+    for roots in ((1, 1, 2), (-3, -3, 5), (2, 2, 2), (1, 2, 3), (-40, 0, 39)):
+        r, s, t = roots
+        assert _has_rational_root(-r * s * t, r * s + r * t + s * t, -(r + s + t))
+    for c0, c1, c2 in product(range(-3, 4), repeat=3):
+        assert _has_rational_root(c0, c1, c2) == _reducible_by_sympy(c0, c1, c2), (c0, c1, c2)
+
+
+@pytest.mark.parametrize("c0", [-(10 ** 7 + 19), -(10 ** 9 + 7)])
+def test_field_constructor_time_grows_with_digits(c0):
+    start = time.perf_counter()
+    l = CubicEtale.field(c0, 0, 1)
+    assert time.perf_counter() - start < 0.1
+    assert l.poly == (c0, 0, 1)
 
 
 def test_galois_image_examples():
@@ -108,6 +159,47 @@ def test_trace_transfer_examples():
     assert trace_transfer_form(X3_3X_1, (1, 0, 0)) == QuadForm((3, 6, 2))
     q = trace_transfer_form(CubicEtale.partial(5), (1, 1))
     assert q == QuadForm((1, 2, 10))
+
+
+@st.composite
+def cubic_algebras(draw):
+    kind = draw(st.sampled_from(["split", "partial", "field"]))
+    if kind == "split":
+        return CubicEtale.split()
+    if kind == "partial":
+        return CubicEtale.partial(draw(st.sampled_from([-20, -7, -3, -1, 2, 5, 6, 12])))
+    c0, c1, c2 = (draw(st.integers(-9, 9)) for _ in range(3))
+    assume(not _reducible_by_sympy(c0, c1, c2))
+    return CubicEtale.field(c0, c1, c2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cubic_algebras(), st.lists(st.fractions(-6, 6, max_denominator=4), min_size=3, max_size=3))
+def test_trace_transfer_form_matches_fraction_matrix_products(l, lam):
+    assume(element_norm(l, lam) != 0)
+    expected = transfer_gram_fraction(l, lam)
+    assert transfer_gram(transfer_tensors(l), lam) == expected
+    assert trace_transfer_form(l, lam) == QuadForm(tuple(gram_diagonal_fraction(expected)))
+
+
+def test_transfer_tensors_are_integer_and_symmetric():
+    for l in (CubicEtale.split(), CubicEtale.partial(-3), X3_3X_1, X3_2):
+        for t in transfer_tensors(l):
+            assert all(type(x) is int for row in t for x in row)
+            assert all(t[i][j] == t[j][i] for i in range(3) for j in range(3))
+
+
+def test_lambda_candidates_are_the_filtered_cube():
+    expected = [
+        lam
+        for h in range(1, 11)
+        for lam in product(range(-h, h + 1), repeat=3)
+        if max(abs(x) for x in lam) == h
+    ]
+    assert len(expected) == 9260
+    for height in range(11):
+        shells = (2 * height + 1) ** 3 - 1
+        assert list(lambda_candidates(height)) == expected[:shells]
 
 
 def test_trace_transfer_square_scaling_invariance():

@@ -201,6 +201,10 @@ def test_json_round_trip():
     assert hermitian_to_json(hermitian_from_json(packed)) == packed
     with pytest.raises(ValueError):
         hermitian_from_json({"hermitian": {"d": -1, "diag": [0.1, 1, 1]}})
+    with pytest.raises(ValueError):
+        HermitianForm(-1, (0.1, 1, 1))
+    with pytest.raises(ValueError):
+        HermitianForm(-1.0, (1, 1, 1))
 
 
 _BROKEN_ISOMETRY = """

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2tori.arith import Place, REAL_PLACE, ZeroInput, hilbert_symbol
 from g2tori.quadforms import (
@@ -9,6 +11,7 @@ from g2tori.quadforms import (
     LaurentForm,
     QuadForm,
     direct_sum,
+    gram_diagonal,
     invariants,
     is_isometric,
     is_isotropic,
@@ -24,7 +27,7 @@ from g2tori.quadforms import (
     tensor,
     witt_decompose,
 )
-from helpers import congruence_rediagonalize, find_isotropic_vector
+from helpers import congruence_rediagonalize, find_isotropic_vector, gram_diagonal_fraction
 
 
 def test_entries_canonicalized_and_nonzero():
@@ -174,6 +177,67 @@ def test_gram_diagonalization():
     assert quadform_from_gram([[0, 1], [1, 0]]).diag == (2, -2)
     with pytest.raises(ValueError):
         quadform_from_gram([[0, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        quadform_from_gram([[1, 2], [3, 1]])  # not symmetric
+
+
+def _symmetric(n, entries, zero_diag):
+    m = [[0] * n for _ in range(n)]
+    it = iter(entries)
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(it)
+    for i in range(n):
+        if zero_diag[i]:
+            m[i][i] = 0
+    return m
+
+
+@st.composite
+def symmetric_matrices(draw, entry):
+    n = draw(st.integers(1, 5))
+    entries = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    # zero diagonal entries force swaps and basis moves
+    zero_diag = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return _symmetric(n, entries, zero_diag)
+
+
+def _same_pivots_as_fraction_gauss(m):
+    try:
+        expected = gram_diagonal_fraction(m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            gram_diagonal(m)
+        return
+    got = gram_diagonal(m)
+    assert got == expected
+    assert all(type(p) is Fraction for p in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices(st.integers(-6, 6)))
+def test_gram_diagonal_matches_fraction_gauss_on_integers(m):
+    _same_pivots_as_fraction_gauss(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices(st.fractions(-5, 5, max_denominator=6)))
+def test_gram_diagonal_matches_fraction_gauss_on_rationals(m):
+    _same_pivots_as_fraction_gauss(m)
+
+
+def test_gram_diagonal_zero_leading_entries():
+    # a swap, a basis move at the first step, and one at a later step
+    for m in (
+        [[0, 1, 0], [1, 2, 0], [0, 0, 3]],
+        [[0, 2, 1], [2, 0, 1], [1, 1, 0]],
+        [[1, 1, 1], [1, 1, 2], [1, 2, 1]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    ):
+        assert gram_diagonal(m) == gram_diagonal_fraction(m)
+    for degenerate in ([[0]], [[1, 2], [2, 4]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 5], [0, 0, 7], [5, 7, 0]]):
+        with pytest.raises(ValueError):
+            gram_diagonal(degenerate)
 
 
 def test_json_round_trip():
@@ -181,5 +245,9 @@ def test_json_round_trip():
     assert quadform_to_json(q) == {"diag": [1, -1, 2]}
     assert quadform_from_json({"diag": [1, -1, 2]}) == q
     assert quadform_from_json({"diag": ["9/2", 3]}).diag == (2, 3)
+    with pytest.raises(ValueError):
+        QuadForm((0.1, 1))
+    with pytest.raises(ValueError):
+        quadform_from_json({"diag": [0.5, 1]})
     lf = LaurentForm(QuadForm((1, 1)), QuadForm((1, -3)))
     assert laurent_from_json(laurent_to_json(lf)) == lf
