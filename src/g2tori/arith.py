@@ -17,6 +17,7 @@ Rational = Fraction
 SquareClass = int
 
 DEFAULT_FACTOR_BOUND = 10 ** 6
+HILBERT_CACHE_SIZE = 2 ** 14  # entries of the (a, b, p) Hilbert symbol cache
 
 
 class ZeroInput(ValueError):
@@ -81,11 +82,14 @@ def squarefree_class(r, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
     and perfect-square cofactors drop out, so only genuinely large factors
     overflow).  Like ``parse_rational`` it rejects floats with ValueError.
     """
-    fr = parse_rational(r)
-    if fr == 0:
+    if type(r) is int:
+        n = r  # the common case; bool and int subclasses take the long way
+    else:
+        fr = parse_rational(r)
+        # n/d and n*d differ by the square d^2
+        n = fr.numerator * fr.denominator
+    if n == 0:
         raise ZeroInput("0 has no square class")
-    # n/d and n*d differ by the square d^2
-    n = fr.numerator * fr.denominator
     out = -1 if n < 0 else 1
     n = abs(n)
     d = 2
@@ -155,7 +159,7 @@ def _legendre(u: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=HILBERT_CACHE_SIZE)
 def _hilbert(a: int, b: int, p: int) -> int:
     if p == 0:
         return -1 if (a < 0 and b < 0) else 1

@@ -181,6 +181,24 @@ def _condition_ii(doubled: QuadForm, rhs: QuadForm, delta, t_form: QuadForm) -> 
     return is_isometric(tensor(doubled, scale(t_form, delta)), rhs)
 
 
+def _obstructed_at_real_place(doubled: QuadForm, rhs: QuadForm, delta) -> bool:
+    """Whether no lambda of positive norm passes the signature test of
+    condition (ii), so that no search height can find a witness.
+
+    Over R, l is R^3 when delta > 0, where t_lam = <lam_1, lam_2, lam_3>
+    with an even number of negative entries; it is R x C when delta < 0,
+    where t_lam is <lam_1> plus a hyperbolic plane, with lam_1 > 0.  So
+    the answer is yes when no such shape gives <<d>> tensor delta*t_lam
+    the signature of ``rhs``.
+    """
+    shapes = ((1, 1, 1), (1, -1, -1)) if delta > 0 else ((1, 1, -1),)
+    target = positive_count(rhs.diag)
+    return all(
+        positive_count([a * delta * t for a in doubled.diag for t in shape]) != target
+        for shape in shapes
+    )
+
+
 def lambda_witness_search(l: CubicEtale, d, b, c, height: int):
     """First lambda (by height, then lexicographic order) with square norm
     satisfying the transfer isometry; None when the search space is
@@ -190,15 +208,21 @@ def lambda_witness_search(l: CubicEtale, d, b, c, height: int):
     The inner loop is integer-only: the norm is the determinant of
     sum_k lam_k M_k over the basis multiplication matrices, and the
     transfer Gram matrix is sum_k lam_k T_k over ``transfer_tensors``.  The
-    right-hand side of condition (ii) is built once per search.
+    right-hand side of condition (ii) is built once per search.  When the
+    real place already proves that no lambda of any height passes (see
+    ``_obstructed_at_real_place``), the enumeration is skipped and the
+    search returns None, exactly what it would return after exhausting
+    the height, so the caller still reads INCONCLUSIVE.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
     delta = cubic_discriminant(l)
+    doubled, rhs = _condition_ii_sides(d, b, c)
+    if _obstructed_at_real_place(doubled, rhs, delta):
+        return None
     # per matrix entry (i, j), its coefficients in M_0, M_1, M_2
     entries = [list(zip(*rows)) for rows in zip(*basis_mult_matrices(l))]
     tensors = transfer_tensors(l)
-    doubled, rhs = _condition_ii_sides(d, b, c)
     for lam in lambda_candidates(height):
         x, y, z = lam
         det = det3([[x * p + y * q + z * r for p, q, r in row] for row in entries])

@@ -79,7 +79,10 @@ class FormInvariants:
         return all(self.hasse_at(v) == other.hasse_at(v) for v in places)
 
 
-@functools.lru_cache(maxsize=None)
+INVARIANTS_CACHE_SIZE = 2 ** 13  # entries of the diagonal -> invariants cache
+
+
+@functools.lru_cache(maxsize=INVARIANTS_CACHE_SIZE)
 def _invariants(diag: tuple[SquareClass, ...]) -> FormInvariants:
     dim = len(diag)
     if dim == 0:

@@ -1,18 +1,34 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the code paths they check: isotropy by integer
-vector search, Hilbert symbols by bounded solubility search, isometry
-inputs by random congruence transforms, cyclic H^1 by the closed-form
-ker(Norm)/im(g-1), Gram diagonalization by Fraction Gauss elimination,
-and transfer Gram matrices by Fraction matrix products.
+vector search, Hilbert symbols by bounded solubility search, cubic
+irreducibility by sympy, isometry inputs by random congruence transforms,
+cyclic H^1 by the closed-form ker(Norm)/im(g-1), Gram diagonalization by
+Fraction Gauss elimination, transfer Gram matrices by Fraction matrix
+products, and the lambda search by plain enumeration with no real-place
+certificate.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
 
-from g2tori.etale import basis_mult_matrices, mult_matrix
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from g2tori.etale import (
+    CubicEtale,
+    basis_mult_matrices,
+    cubic_discriminant,
+    lambda_candidates,
+    mult_matrix,
+    transfer_gram,
+    transfer_tensors,
+)
+from g2tori.hermitian import check_condition_ii
 from g2tori.quadforms import QuadForm, quadform_from_gram
 from g2tori.weyl import (
+    det3,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -22,6 +38,27 @@ from g2tori.weyl import (
     w_mul,
     w_identity,
 )
+
+
+def reducible_by_sympy(c0, c1, c2):
+    """Whether x^3 + c2 x^2 + c1 x + c0 factors over Q, by sympy."""
+    import sympy
+
+    x = sympy.symbols("x")
+    return not sympy.Poly(x ** 3 + c2 * x ** 2 + c1 * x + c0, x).is_irreducible
+
+
+@st.composite
+def cubic_algebras(draw):
+    """Split, partially split and small field cubic algebras."""
+    kind = draw(st.sampled_from(["split", "partial", "field"]))
+    if kind == "split":
+        return CubicEtale.split()
+    if kind == "partial":
+        return CubicEtale.partial(draw(st.sampled_from([-20, -7, -3, -1, 2, 5, 6, 12])))
+    c0, c1, c2 = (draw(st.integers(-9, 9)) for _ in range(3))
+    assume(not reducible_by_sympy(c0, c1, c2))
+    return CubicEtale.field(c0, c1, c2)
 
 
 def find_isotropic_vector(diag, bound):
@@ -238,3 +275,19 @@ def transfer_gram_fraction(l, lam):
     mats = basis_mult_matrices(l)
     products = [mat_mul(mlam, m) for m in mats]
     return [[trace(mat_mul(mi, mj)) for mj in mats] for mi in products]
+
+
+def lambda_search_by_enumeration(l, d, b, c, height):
+    """The lambda search walked to the end of every height shell: the first
+    lambda with square norm passing ``check_condition_ii``, or None."""
+    delta = cubic_discriminant(l)
+    mats = basis_mult_matrices(l)
+    tensors = transfer_tensors(l)
+    for lam in lambda_candidates(height):
+        det = det3([[sum(x * m[i][j] for x, m in zip(lam, mats)) for j in range(3)] for i in range(3)])
+        if det <= 0 or isqrt(det) ** 2 != det:
+            continue
+        t_form = quadform_from_gram(transfer_gram(tensors, lam))
+        if check_condition_ii(d, delta, t_form, b, c):
+            return lam, t_form
+    return None

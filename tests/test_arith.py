@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from g2tori import arith, quadforms
 from g2tori.arith import (
     FactorizationOverflow,
     Place,
@@ -20,6 +24,8 @@ def test_squarefree_class_examples():
     assert squarefree_class(18) == 2
     assert squarefree_class(Fraction(9, 2)) == 2
     assert squarefree_class(-75) == -3
+    assert squarefree_class(-(10 ** 12)) == -1
+    assert squarefree_class(True) == 1
 
 
 def test_squarefree_class_idempotent_and_multiplicative():
@@ -37,11 +43,52 @@ def test_squarefree_class_idempotent_and_multiplicative():
 def test_squarefree_class_errors():
     with pytest.raises(ZeroInput):
         squarefree_class(0)
+    with pytest.raises(ValueError):
+        squarefree_class(1.0)
     # 1000003 * 1000033: both primes above a tiny bound
     with pytest.raises(FactorizationOverflow):
         squarefree_class(1000003 * 1000033, bound=100)
     # large perfect-square cofactors still canonicalize
     assert squarefree_class(3 * 1000003 ** 2, bound=100) == 3
+
+
+def _outcome(x, bound):
+    try:
+        return squarefree_class(x, bound=bound)
+    except (ZeroInput, ValueError, FactorizationOverflow) as exc:
+        return type(exc)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 997)
+SMALL_INTS = st.integers(-10 ** 6, 10 ** 6)
+# values above 10**12 whose prime factors are all small, so that trial
+# division under the default bound stays fast
+SMOOTH_LARGE_INTS = st.builds(
+    lambda sign, k, ps: sign * k * 10 ** 12 * math.prod(ps),
+    st.sampled_from([1, -1]),
+    st.integers(1, 10 ** 4),
+    st.lists(st.sampled_from(SMALL_PRIMES), max_size=6),
+)
+LARGE_INTS = st.one_of(st.integers(10 ** 12, 10 ** 18), st.integers(-10 ** 18, -10 ** 12), SMOOTH_LARGE_INTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.one_of(SMALL_INTS, LARGE_INTS), st.sampled_from([2, 50, 1000])),
+        st.tuples(st.one_of(SMALL_INTS, SMOOTH_LARGE_INTS), st.just(arith.DEFAULT_FACTOR_BOUND)),
+    )
+)
+def test_squarefree_class_int_fast_path_matches_rational_path(case):
+    n, bound = case
+    got = _outcome(n, bound)
+    assert got == _outcome(Fraction(n), bound) == _outcome(str(n), bound)
+
+
+def test_memo_caches_are_bounded():
+    for fn in (arith._hilbert, quadforms._invariants):
+        maxsize = fn.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_place_validation():

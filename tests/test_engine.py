@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from g2tori import engine, hermitian
 from g2tori.cli import _parse_cubic
 from g2tori.composition import CompositionAlgebra, embeds_quadratic, is_split, norm_form
 from g2tori.engine import (
@@ -17,8 +18,8 @@ from g2tori.engine import (
     decide_laurent_counterexample,
     odd_degree_reduction,
 )
-from g2tori.etale import CubicEtale, QuadraticEtale, TorusType, cubic_discriminant
-from g2tori.hermitian import check_condition_ii
+from g2tori.etale import CubicEtale, QuadraticEtale, TorusType, cubic_discriminant, lambda_candidates
+from g2tori.hermitian import check_condition_ii, lambda_witness_search
 from g2tori.quadforms import QuadForm, is_isometric, pfister
 
 CAYLEY = CompositionAlgebra((-1, -1, -1))
@@ -187,6 +188,33 @@ def test_grid_verdicts_match_golden():
         assert got == json.dumps(row["verdict"], sort_keys=True), inst
         checked += 1
     assert checked == 200
+
+
+def test_real_place_certificate_fires_on_the_inconclusive_grid_instances(monkeypatch):
+    """A search that never enumerates was settled by the real place; that
+    happens on exactly the 25 golden INCONCLUSIVE instances."""
+    events = []
+
+    def search(*args):
+        events.append("search")
+        return lambda_witness_search(*args)
+
+    def candidates(height):
+        events.append("enumerate")
+        return lambda_candidates(height)
+
+    monkeypatch.setattr(engine, "lambda_witness_search", search)
+    monkeypatch.setattr(hermitian, "lambda_candidates", candidates)
+    fired = 0
+    for line in GOLDEN.read_text().splitlines():
+        row = json.loads(line)
+        inst = row["instance"]
+        events.clear()
+        decide_over_Q(CompositionAlgebra(tuple(inst["octonion"])), _type(inst["d"], _parse_cubic(inst["cubic"])))
+        crosscheck = dict(row["verdict"]["crosschecks"])["hermitian-criterion"]
+        assert (events == ["search"]) == (crosscheck == INCONCLUSIVE), inst
+        fired += events == ["search"]
+    assert fired == 25
 
 
 @pytest.mark.parametrize("params", [(2, 3, 25), (-2, -3, -7)])

@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +30,7 @@ from g2tori.etale import (
 )
 from g2tori.quadforms import QuadForm, is_isometric
 from g2tori.weyl import perm_sign
-from helpers import gram_diagonal_fraction, transfer_gram_fraction
+from helpers import cubic_algebras, gram_diagonal_fraction, reducible_by_sympy, transfer_gram_fraction
 
 
 X3_3X_1 = CubicEtale.field(-1, -3, 0)  # x^3 - 3x - 1, discriminant 81
@@ -75,17 +74,10 @@ def test_reducible_rejection():
             CubicEtale.field(*coefficients)
 
 
-_X = sympy.symbols("x")
-
-
-def _reducible_by_sympy(c0, c1, c2):
-    return not sympy.Poly(_X ** 3 + c2 * _X ** 2 + c1 * _X + c0, _X).is_irreducible
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-60, 60), st.integers(-60, 60))
 def test_rational_root_test_matches_sympy(c0, c1, c2):
-    assert _has_rational_root(c0, c1, c2) == _reducible_by_sympy(c0, c1, c2)
+    assert _has_rational_root(c0, c1, c2) == reducible_by_sympy(c0, c1, c2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,7 +94,7 @@ def test_rational_root_test_small_cubics():
         r, s, t = roots
         assert _has_rational_root(-r * s * t, r * s + r * t + s * t, -(r + s + t))
     for c0, c1, c2 in product(range(-3, 4), repeat=3):
-        assert _has_rational_root(c0, c1, c2) == _reducible_by_sympy(c0, c1, c2), (c0, c1, c2)
+        assert _has_rational_root(c0, c1, c2) == reducible_by_sympy(c0, c1, c2), (c0, c1, c2)
 
 
 @pytest.mark.parametrize("c0", [-(10 ** 7 + 19), -(10 ** 9 + 7)])
@@ -159,18 +151,6 @@ def test_trace_transfer_examples():
     assert trace_transfer_form(X3_3X_1, (1, 0, 0)) == QuadForm((3, 6, 2))
     q = trace_transfer_form(CubicEtale.partial(5), (1, 1))
     assert q == QuadForm((1, 2, 10))
-
-
-@st.composite
-def cubic_algebras(draw):
-    kind = draw(st.sampled_from(["split", "partial", "field"]))
-    if kind == "split":
-        return CubicEtale.split()
-    if kind == "partial":
-        return CubicEtale.partial(draw(st.sampled_from([-20, -7, -3, -1, 2, 5, 6, 12])))
-    c0, c1, c2 = (draw(st.integers(-9, 9)) for _ in range(3))
-    assume(not _reducible_by_sympy(c0, c1, c2))
-    return CubicEtale.field(c0, c1, c2)
 
 
 @settings(max_examples=100, deadline=None)

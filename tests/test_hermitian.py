@@ -6,9 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import g2tori
-from g2tori.composition import from_hermitian, norm_form
+import g2tori.hermitian as hermitian_module
+from g2tori.composition import CompositionAlgebra, from_hermitian, norm_form
+from g2tori.engine import CrossCheckDisagreement, _find_presentation
 from g2tori.etale import CubicEtale
 from g2tori.hermitian import (
     HermitianForm,
@@ -27,6 +31,7 @@ from g2tori.hermitian import (
     q_tau,
 )
 from g2tori.quadforms import QuadForm, direct_sum, is_isometric, pfister, scale, tensor
+from helpers import cubic_algebras, lambda_search_by_enumeration
 
 
 def _random_trivial_disc_form(rng):
@@ -174,6 +179,43 @@ def test_lambda_witness_search_examples():
     assert lambda_witness_search(CubicEtale.field(-2, 0, 0), -1, -1, -1, 10) is None
     with pytest.raises(ValueError):
         lambda_witness_search(CubicEtale.split(), -1, -1, -1, 0)
+
+
+GRID_ALGEBRAS = (CompositionAlgebra((1, 1, 1)), CompositionAlgebra((-1, -1, -1)))
+
+
+@st.composite
+def presentations(draw):
+    """(d, b, c) with b, c from the presentation of a grid algebra, or
+    arbitrary small square classes."""
+    d = draw(st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 7, -7]))
+    if draw(st.booleans()):
+        try:
+            return (d, *_find_presentation(draw(st.sampled_from(GRID_ALGEBRAS)), d))
+        except CrossCheckDisagreement:
+            assume(False)  # d does not embed in the anisotropic algebra
+    b, c = (draw(st.sampled_from([1, -1, 2, -2, 3, -3])) for _ in range(2))
+    return d, b, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(cubic_algebras(), presentations(), st.integers(1, 3))
+def test_lambda_search_matches_plain_enumeration(l, dbc, height):
+    d, b, c = dbc
+    assert lambda_witness_search(l, d, b, c, height) == lambda_search_by_enumeration(l, d, b, c, height)
+
+
+def test_real_place_certificate_skips_enumeration(monkeypatch):
+    def refuse(height):
+        raise RuntimeError("the search enumerated lambdas")
+
+    monkeypatch.setattr(hermitian_module, "lambda_candidates", refuse)
+    # Cayley, d < 0, delta < 0: <<d>> tensor delta*t_lam is never definite
+    assert lambda_witness_search(CubicEtale.field(-2, 0, 0), -1, -1, -1, 10 ** 6) is None
+    assert lambda_witness_search(CubicEtale.partial(-3), -5, -1, -1, 10 ** 6) is None
+    # delta > 0 leaves t_lam = <1, 1, 1> possible, so the search must run
+    with pytest.raises(RuntimeError, match="enumerated"):
+        lambda_witness_search(CubicEtale.field(-1, -3, 0), -1, -1, -1, 1)
 
 
 def test_condition_stable_under_square_scaling():
