@@ -3,7 +3,9 @@
 Everything in this module is integer or fraction arithmetic with no
 tolerances.  A square class (an element of Q*/Q*^2) is represented by its
 canonical squarefree integer, so equality of classes is plain ``==`` on
-ints.
+ints.  The product of two classes a and b is (a/g)*(b/g) with
+g = gcd(a, b) (``class_product``): exact and squarefree with no trial
+division, so a class is factored at most once, when it is first made.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 Rational = Fraction
 SquareClass = int
@@ -115,6 +117,16 @@ def squarefree_class(r, bound: int = DEFAULT_FACTOR_BOUND) -> SquareClass:
     return out
 
 
+def class_product(a: SquareClass, b: SquareClass) -> SquareClass:
+    """The square class of a*b for square classes ``a`` and ``b``.
+
+    The primes of g = gcd(a, b) occur squared in a*b, and a and b are
+    squarefree, so (a/g)*(b/g) is the class with no factoring at all.
+    """
+    g = gcd(a, b)
+    return (a // g) * (b // g)
+
+
 def odd_prime_divisors(c: SquareClass, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
     """Odd primes dividing the square class ``c`` (a squarefree integer)."""
     n = abs(int(c))
@@ -203,10 +215,13 @@ def hilbert_symbol(a, b, place: Place) -> int:
 
 def is_local_square(c: SquareClass, place: Place) -> bool:
     """Whether the square class ``c`` becomes a square in the completion at v."""
-    c = squarefree_class(c)
-    if place.is_real:
+    return _is_local_square(squarefree_class(c), place.p)
+
+
+def _is_local_square(c: SquareClass, p: int) -> bool:
+    # c is already a canonical class; p == 0 is the real place
+    if p == 0:
         return c > 0
-    p = place.p
     if c % p == 0:
         return False  # squarefree, so valuation 1
     if p == 2:

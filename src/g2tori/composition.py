@@ -137,7 +137,7 @@ def norm_form(algebra: CompositionAlgebra) -> QuadForm:
     """The norm as a diagonal form: the Pfister form on the doubling scalars."""
     if not algebra.params:
         return QuadForm((1,))
-    return pfister([squarefree_class(p) for p in algebra.params])
+    return pfister(algebra.params)
 
 
 def is_split(algebra: CompositionAlgebra) -> bool:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import SquareClass, parse_rational, squarefree_class
+from .arith import SquareClass, class_product, parse_rational, squarefree_class
 from .composition import (
     DEFAULT_WITNESS_BOUND,
     CompositionAlgebra,
@@ -121,7 +121,7 @@ def decide_over_Q(C: CompositionAlgebra, t: TorusType, height: int = DEFAULT_SEA
     # biquadratic rule, applicable when the cubic is not a field
     if t.l.kind != "field":
         e = 1 if t.l.kind == "split" else t.l.e
-        k1 = squarefree_class(d * e)
+        k1 = class_product(d, e)
         k2 = d
         ok1 = embeds_quadratic(C, QuadraticEtale(k1))
         ok2 = embeds_quadratic(C, QuadraticEtale(k2))

@@ -15,6 +15,7 @@ from math import isqrt
 
 from .arith import (
     SquareClass,
+    class_product,
     hilbert_symbol,
     parse_rational,
     rational_to_json,
@@ -87,7 +88,7 @@ def normalize_trivial_disc(h: HermitianForm) -> tuple[SquareClass, SquareClass]:
         raise NontrivialDiscriminant("h has nontrivial hermitian discriminant")
     b = squarefree_class(-h.diag[0])
     c = squarefree_class(-h.diag[1])
-    if not hermitian_isometric(h, HermitianForm(h.d, (-b, -c, b * c))):
+    if not hermitian_isometric(h, HermitianForm(h.d, (-b, -c, class_product(b, c)))):
         raise AssertionError("h is not isometric to its normalization <-b, -c, bc>")
     return b, c
 
@@ -104,7 +105,7 @@ def hermitian_isometric(h1: HermitianForm, h2: HermitianForm) -> bool:
 
 def q_tau(h: HermitianForm) -> QuadForm:
     b, c = normalize_trivial_disc(h)
-    return QuadForm((-b, -c, b * c))
+    return QuadForm._of_classes((-b, -c, class_product(b, c)))
 
 
 def pi_form(h: HermitianForm) -> QuadForm:
@@ -169,7 +170,8 @@ def check_condition_ii(d, delta, t_form: QuadForm, b, c) -> bool:
 def _condition_ii_sides(d, b, c) -> tuple[QuadForm, QuadForm]:
     """<<d>> and the right-hand side <<d>> tensor <-b,-c,bc> of condition (ii)."""
     doubled = pfister([d])
-    return doubled, tensor(doubled, QuadForm((-b, -c, Fraction(b) * Fraction(c))))
+    b, c = squarefree_class(b), squarefree_class(c)
+    return doubled, tensor(doubled, QuadForm._of_classes((-b, -c, class_product(b, c))))
 
 
 def _condition_ii(doubled: QuadForm, rhs: QuadForm, delta, t_form: QuadForm) -> bool:

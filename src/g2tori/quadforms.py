@@ -5,6 +5,14 @@ symbols), isometry and Hasse-Minkowski isotropy decisions, Pfister
 constructors, Witt decomposition, and the two-residue model for forms over
 the Laurent series field Q((t)).  Gram matrices are diagonalized by
 fraction-free integer elimination.
+
+Entries are canonical square classes.  The public constructor factors
+its input once; ``scale``, ``tensor``, ``direct_sum`` and ``pfister``
+build their entries from entries that are already classes, by
+``class_product`` (a gcd, no factoring).  The Hasse symbol at a place is
+the product of n-1 Hilbert symbols (a_i, a_(i+1)...a_n)_v, by
+bilinearity, and only the distinct entries are factored, once, to find
+the places where it can be -1.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from .arith import (
     REAL_PLACE,
     TWO,
     SquareClass,
-    hilbert_symbol,
-    is_local_square,
+    _hilbert,
+    _is_local_square,
+    class_product,
+    odd_prime_divisors,
     parse_rational,
-    relevant_places,
     squarefree_class,
 )
 
@@ -41,6 +50,14 @@ class QuadForm:
         object.__setattr__(
             self, "diag", tuple(squarefree_class(a) for a in self.diag)
         )
+
+    @classmethod
+    def _of_classes(cls, diag: tuple[SquareClass, ...]) -> "QuadForm":
+        """A form on entries that are already canonical square classes;
+        skips the factoring in ``__post_init__``."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "diag", diag)
+        return q
 
     @property
     def dim(self) -> int:
@@ -87,23 +104,23 @@ def _invariants(diag: tuple[SquareClass, ...]) -> FormInvariants:
     dim = len(diag)
     if dim == 0:
         return FormInvariants(0, 1, (0, 0), {})
-    disc = squarefree_class(_product(diag))
+    # suffix[i] is the class of diag[i+1] * ... * diag[n-1]; by
+    # bilinearity prod_{i<j} (a_i, a_j)_v = prod_i (a_i, suffix[i])_v
+    suffix = [1] * dim
+    for i in range(dim - 1, 0, -1):
+        suffix[i - 1] = class_product(diag[i], suffix[i])
+    disc = class_product(diag[0], suffix[0])
     pos = positive_count(diag)
+    primes = {0, 2}  # the real place and 2, then each odd prime of an entry
+    for a in set(diag):
+        primes.update(odd_prime_divisors(a))
     hasse = {}
-    for v in relevant_places(diag):
+    for p in primes:
         eps = 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                eps *= hilbert_symbol(diag[i], diag[j], v)
-        hasse[v] = eps
+        for a, s in zip(diag[:-1], suffix):
+            eps *= _hilbert(a, s, p)
+        hasse[Place(p)] = eps
     return FormInvariants(dim, disc, (pos, dim - pos), hasse)
-
-
-def _product(entries) -> int:
-    out = 1
-    for a in entries:
-        out *= a
-    return out
 
 
 def invariants(q: QuadForm) -> FormInvariants:
@@ -138,13 +155,13 @@ def _isotropic_inv(dim, disc, signature, hasse: dict) -> bool:
     places = set(hasse) | {REAL_PLACE, TWO}
     if dim == 3:
         for v in places:
-            if hasse.get(v, 1) != hilbert_symbol(-1, -disc, v):
+            if hasse.get(v, 1) != _hilbert(-1, -disc, v.p):
                 return False
         return True
     # dim == 4: anisotropic at v iff disc is a local square and the Hasse
     # symbol differs from (-1,-1)_v
     for v in places:
-        if is_local_square(disc, v) and hasse.get(v, 1) != hilbert_symbol(-1, -1, v):
+        if _is_local_square(disc, v.p) and hasse.get(v, 1) != _hilbert(-1, -1, v.p):
             return False
     return True
 
@@ -167,8 +184,8 @@ def witt_decompose(q: QuadForm) -> tuple[int, int]:
     hasse = dict(inv.hasse)
     index = 0
     while dim >= 2 and _isotropic_inv(dim, disc, (pos, neg), hasse):
-        new_disc = squarefree_class(-disc)
-        hasse = {v: e * hilbert_symbol(-1, new_disc, v) for v, e in hasse.items()}
+        new_disc = -disc
+        hasse = {v: e * _hilbert(-1, new_disc, v.p) for v, e in hasse.items()}
         dim -= 2
         disc = new_disc
         pos -= 1
@@ -189,18 +206,18 @@ def represents_subform(q: QuadForm, s: QuadForm) -> bool:
 
 def scale(q: QuadForm, c) -> QuadForm:
     c = squarefree_class(c)
-    return QuadForm(tuple(c * a for a in q.diag))
+    return QuadForm._of_classes(tuple(class_product(c, a) for a in q.diag))
 
 
 def direct_sum(*forms: QuadForm) -> QuadForm:
     diag: tuple = ()
     for q in forms:
         diag += q.diag
-    return QuadForm(diag)
+    return QuadForm._of_classes(diag)
 
 
 def tensor(q1: QuadForm, q2: QuadForm) -> QuadForm:
-    return QuadForm(tuple(a * b for a in q1.diag for b in q2.diag))
+    return QuadForm._of_classes(tuple(class_product(a, b) for a in q1.diag for b in q2.diag))
 
 
 def pfister(slots) -> QuadForm:
@@ -210,10 +227,10 @@ def pfister(slots) -> QuadForm:
         raise EmptySlots("a Pfister form needs at least one slot")
     if len(slots) > 3:
         raise ValueError("at most three Pfister slots are supported")
-    q = QuadForm((1,))
+    diag = (1,)
     for a in slots:
-        q = direct_sum(q, scale(q, -a))
-    return q
+        diag += tuple(class_product(-a, x) for x in diag)
+    return QuadForm._of_classes(diag)
 
 
 @dataclass(frozen=True)

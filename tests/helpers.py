@@ -5,8 +5,9 @@ vector search, Hilbert symbols by bounded solubility search, cubic
 irreducibility by sympy, isometry inputs by random congruence transforms,
 cyclic H^1 by the closed-form ker(Norm)/im(g-1), Gram diagonalization by
 Fraction Gauss elimination, transfer Gram matrices by Fraction matrix
-products, and the lambda search by plain enumeration with no real-place
-certificate.
+products, the lambda search by plain enumeration with no real-place
+certificate, and form invariants by all n(n-1)/2 Hilbert symbols of the
+entries and the square class of their raw product.
 """
 
 from fractions import Fraction
@@ -16,6 +17,12 @@ from math import isqrt
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from g2tori.arith import (
+    hilbert_symbol,
+    is_local_square,
+    relevant_places,
+    squarefree_class,
+)
 from g2tori.etale import (
     CubicEtale,
     basis_mult_matrices,
@@ -26,7 +33,7 @@ from g2tori.etale import (
     transfer_tensors,
 )
 from g2tori.hermitian import check_condition_ii
-from g2tori.quadforms import QuadForm, quadform_from_gram
+from g2tori.quadforms import FormInvariants, QuadForm, quadform_from_gram
 from g2tori.weyl import (
     det3,
     identity_matrix,
@@ -291,3 +298,58 @@ def lambda_search_by_enumeration(l, d, b, c, height):
         if check_condition_ii(d, delta, t_form, b, c):
             return lam, t_form
     return None
+
+
+def invariants_pairwise(diag) -> FormInvariants:
+    """Invariants of the diagonal form on the square classes ``diag``: the
+    discriminant is the class of the raw product, and the Hasse symbol at
+    each place is the product of (a_i, a_j)_v over every pair i < j."""
+    dim = len(diag)
+    if dim == 0:
+        return FormInvariants(0, 1, (0, 0), {})
+    product = 1
+    for a in diag:
+        product *= a
+    pos = sum(1 for a in diag if a > 0)
+    hasse = {}
+    for v in relevant_places(diag):
+        eps = 1
+        for a, b in combinations(diag, 2):
+            eps *= hilbert_symbol(a, b, v)
+        hasse[v] = eps
+    return FormInvariants(dim, squarefree_class(product), (pos, dim - pos), hasse)
+
+
+def isotropic_from_invariants(inv: FormInvariants) -> bool:
+    """Hasse-Minkowski isotropy read off the invariants with the public
+    symbols: dim 2 needs disc -1, dim 3 needs Hasse (-1, -disc)_v at every
+    place, dim 4 fails where disc is a local square and Hasse differs from
+    (-1, -1)_v, dim >= 5 needs an indefinite form."""
+    pos, neg = inv.signature
+    if inv.dim <= 1:
+        return False
+    if inv.dim >= 5:
+        return pos > 0 and neg > 0
+    if inv.dim == 2:
+        return inv.disc == -1
+    places = relevant_places([inv.disc, -1])
+    if inv.dim == 3:
+        return all(inv.hasse_at(v) == hilbert_symbol(-1, -inv.disc, v) for v in places | set(inv.hasse))
+    return not any(
+        is_local_square(inv.disc, v) and inv.hasse_at(v) != hilbert_symbol(-1, -1, v)
+        for v in places | set(inv.hasse)
+    )
+
+
+def witt_from_invariants(inv: FormInvariants) -> tuple[int, int]:
+    """Witt index and kernel dimension: split off hyperbolic planes while
+    the form is isotropic; each one negates the discriminant and twists
+    the Hasse symbol at v by (-1, disc')_v."""
+    index = 0
+    while isotropic_from_invariants(inv):
+        disc = squarefree_class(-inv.disc)
+        pos, neg = inv.signature
+        hasse = {v: e * hilbert_symbol(-1, disc, v) for v, e in inv.hasse.items()}
+        inv = FormInvariants(inv.dim - 2, disc, (pos - 1, neg - 1), hasse)
+        index += 1
+    return index, inv.dim

@@ -12,6 +12,7 @@ from g2tori.arith import (
     Place,
     REAL_PLACE,
     ZeroInput,
+    class_product,
     hilbert_symbol,
     is_local_square,
     relevant_places,
@@ -83,6 +84,45 @@ def test_squarefree_class_int_fast_path_matches_rational_path(case):
     n, bound = case
     got = _outcome(n, bound)
     assert got == _outcome(Fraction(n), bound) == _outcome(str(n), bound)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+LARGE_PRIMES = (999983, 1000003, 1000033, 1000037)  # around the bound 10**6
+
+
+@st.composite
+def class_pairs(draw):
+    """Two square classes from shared small primes, a sign each, and at
+    most one prime above 10**6, possibly in both, so that trial division
+    to 2000 certifies the class of the product."""
+    large = draw(st.sampled_from(LARGE_PRIMES))
+    out = []
+    for _ in range(2):
+        primes = draw(st.sets(st.sampled_from(SMALL_PRIMES)))
+        big = large if draw(st.booleans()) else 1
+        out.append(draw(st.sampled_from((1, -1))) * math.prod(primes) * big)
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_pairs())
+def test_class_product_is_the_class_of_the_product(pair):
+    a, b = pair
+    assert squarefree_class(a) == a and squarefree_class(b) == b
+    assert class_product(a, b) == squarefree_class(a * b, bound=2000) == class_product(b, a)
+
+
+def test_class_product_examples():
+    assert class_product(1, -1) == -1
+    assert class_product(-1, -1) == 1
+    assert class_product(6, 10) == 15
+    assert class_product(-30, 30) == -1
+    # beyond what trial division certifies: sympy checks the factors
+    from sympy import factorint
+
+    n = class_product(1000003, -1000033)
+    assert factorint(n) == {-1: 1, 1000003: 1, 1000033: 1}
+    assert class_product(n, 1000003) == -1000033
 
 
 def test_memo_caches_are_bounded():

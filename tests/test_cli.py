@@ -140,6 +140,13 @@ def test_factorization_overflow_exit_code(capsys):
     _one_error_line(capsys)
 
 
+def test_isometry_of_classes_with_an_uncertified_product(capsys):
+    # each entry's class is certified; their product 1000003 * 1000033
+    # is never factored, so the query answers instead of exiting 66
+    code, out = run(capsys, "form", "isometric", "--left=1000003,1000033", "--right=4000012,1000033")
+    assert out == "YES" and code == 0
+
+
 def test_crosscheck_disagreement_exit_code(capsys, monkeypatch):
     def disagree(*args, **kwargs):
         raise engine.CrossCheckDisagreement("biquadratic rule disagrees")

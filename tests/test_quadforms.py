@@ -1,11 +1,19 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2tori.arith import Place, REAL_PLACE, ZeroInput, hilbert_symbol
+from g2tori.arith import (
+    FactorizationOverflow,
+    Place,
+    REAL_PLACE,
+    ZeroInput,
+    hilbert_symbol,
+    squarefree_class,
+)
 from g2tori.quadforms import (
     EmptySlots,
     LaurentForm,
@@ -27,7 +35,34 @@ from g2tori.quadforms import (
     tensor,
     witt_decompose,
 )
-from helpers import congruence_rediagonalize, find_isotropic_vector, gram_diagonal_fraction
+from helpers import (
+    congruence_rediagonalize,
+    find_isotropic_vector,
+    gram_diagonal_fraction,
+    invariants_pairwise,
+    isotropic_from_invariants,
+    witt_from_invariants,
+)
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def smooth_entries(draw):
+    """Up to three primes below 1000 (often small ones, so entries share
+    primes), a sign, and a square factor."""
+    primes = draw(st.lists(
+        st.one_of(st.sampled_from(PRIMES_BELOW_1000[:6]), st.sampled_from(PRIMES_BELOW_1000)),
+        max_size=3,
+    ))
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * prod(primes) * draw(st.integers(1, 12)) ** 2
+
+
+def smooth_forms(min_dim=1, max_dim=8):
+    return st.lists(smooth_entries(), min_size=min_dim, max_size=max_dim).map(
+        lambda entries: QuadForm(tuple(entries))
+    )
 
 
 def test_entries_canonicalized_and_nonzero():
@@ -159,6 +194,56 @@ def test_tensor_with_hyperbolic_plane_is_hyperbolic():
         for v in set(inv.hasse) | {REAL_PLACE, Place(2)}:
             expected = hilbert_symbol(-1, -1, v) ** (m * (m - 1) // 2)
             assert inv.hasse_at(v) == expected
+
+
+def _assert_canonical(q: QuadForm):
+    assert QuadForm(q.diag) == q
+    assert all(type(a) is int and squarefree_class(a) == a for a in q.diag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    smooth_forms(max_dim=4),
+    smooth_forms(max_dim=3),
+    smooth_entries(),
+    st.lists(st.fractions(-40, 40, max_denominator=9).filter(bool), min_size=1, max_size=3),
+)
+def test_constructed_forms_are_canonical(q1, q2, c, slots):
+    for q in (scale(q1, c), scale(q1, Fraction(c, 4)), direct_sum(q1, q2), tensor(q1, q2), pfister(slots)):
+        _assert_canonical(q)
+    built = tensor(pfister(slots[:2]), scale(q1, c))
+    _assert_canonical(built)
+    assert invariants(built) == invariants_pairwise(built.diag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(smooth_forms())
+def test_invariants_match_pairwise_oracle(q):
+    expected = invariants_pairwise(q.diag)
+    got = invariants(q)
+    assert (got.dim, got.disc, got.signature, got.hasse) == (
+        expected.dim, expected.disc, expected.signature, expected.hasse,
+    )
+    assert is_isotropic(q) == isotropic_from_invariants(expected)
+    assert witt_decompose(q) == witt_from_invariants(expected)
+
+
+def test_classes_with_an_uncertified_product():
+    # 1000003 and 1000033 are primes above the trial-division bound 10**6;
+    # their product's class cannot be certified, the entries' classes can
+    with pytest.raises(FactorizationOverflow):
+        squarefree_class(1000003 * 1000033)
+    assert is_isometric(QuadForm((1000003, 1000033)), QuadForm((4 * 1000003, 1000033)))
+    assert invariants(QuadForm((1000003, 1000033))).disc == 1000003 * 1000033
+    # Legendre's theorem, checked by sympy: -3 * 1000003 is not a square
+    # mod 1000033, so 1000003 x^2 - 1000033 y^2 + 3 z^2 has no zero
+    from sympy import is_quad_residue
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
+    from sympy.abc import x, y, z
+
+    assert not is_quad_residue(-3 * 1000003 % 1000033, 1000033)
+    assert diop_ternary_quadratic_normal(1000003 * x ** 2 - 1000033 * y ** 2 + 3 * z ** 2) == (None, None, None)
+    assert not is_isotropic(QuadForm((1000003, -1000033, 3)))
 
 
 def test_laurent_examples():
