@@ -213,6 +213,14 @@ def hilbert_symbol(a, b, place: Place) -> int:
     return _hilbert(squarefree_class(a), squarefree_class(b), place.p)
 
 
+def is_norm(a: SquareClass, b: SquareClass) -> bool:
+    """Whether the class ``b`` is a norm from Q(sqrt(a)): by Hasse's norm
+    theorem, whether (a, b)_v = +1 at the real place, at 2 and at the odd
+    primes of a and b (the symbol is +1 at every other place)."""
+    places = {0, 2, *odd_prime_divisors(a), *odd_prime_divisors(b)}
+    return all(_hilbert(a, b, p) == 1 for p in places)
+
+
 def is_local_square(c: SquareClass, place: Place) -> bool:
     """Whether the square class ``c`` becomes a square in the completion at v."""
     return _is_local_square(squarefree_class(c), place.p)

@@ -32,7 +32,7 @@ class UsageError(ValueError):
 # first match wins, so UsageError precedes its base class ValueError
 _EXIT_BY_ERROR = (
     (UsageError, EXIT_USAGE),
-    ((ValueError, composition.WitnessSearchExhausted), 65),
+    (ValueError, 65),
     (arith.FactorizationOverflow, 66),
     (engine.CrossCheckDisagreement, 70),
 )

@@ -8,12 +8,16 @@ The product follows the doubling rule
 
 so the norm satisfies N(x + y a) = N(x) - c N(y) and the quaternion (a, b)
 has i^2 = a, j^2 = b with norm form <1, -a, -b, ab>.
+
+The norm form is built once per algebra; ``embeds_quaternion`` constructs
+its doubling scalar from the signature, while ``common_slot`` searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import parse_rational, rational_to_json, squarefree_class
 from .etale import QuadraticEtale
@@ -27,10 +31,6 @@ class DimensionMismatch(ValueError):
 
 class RankOneAlgebra(ValueError):
     """Splitting is only defined in dimensions 2, 4 and 8."""
-
-
-class WitnessSearchExhausted(RuntimeError):
-    """A subform test succeeded but no doubling witness was found in bound."""
 
 
 DEFAULT_WITNESS_BOUND = 30
@@ -54,6 +54,11 @@ class CompositionAlgebra:
     def dim(self) -> int:
         return 2 ** len(self.params)
 
+    @cached_property
+    def norm_form(self) -> QuadForm:
+        """The Pfister form on the doubling scalars, built once."""
+        return pfister(self.params) if self.params else QuadForm((1,))
+
     def __repr__(self):
         return f"CompositionAlgebra({[str(p) for p in self.params]})"
 
@@ -62,7 +67,7 @@ Element = tuple[Fraction, ...]
 
 
 def element(algebra: CompositionAlgebra, coords) -> Element:
-    coords = tuple(Fraction(x) for x in coords)
+    coords = tuple(parse_rational(x) for x in coords)
     if len(coords) != algebra.dim:
         raise DimensionMismatch(
             f"expected {algebra.dim} coordinates, got {len(coords)}"
@@ -135,9 +140,7 @@ def trace_bilinear(algebra: CompositionAlgebra, x, y) -> Fraction:
 
 def norm_form(algebra: CompositionAlgebra) -> QuadForm:
     """The norm as a diagonal form: the Pfister form on the doubling scalars."""
-    if not algebra.params:
-        return QuadForm((1,))
-    return pfister(algebra.params)
+    return algebra.norm_form
 
 
 def is_split(algebra: CompositionAlgebra) -> bool:
@@ -164,25 +167,19 @@ def square_class_candidates(bound: int):
         yield -n
 
 
-def embeds_quaternion(algebra: CompositionAlgebra, quat: CompositionAlgebra, bound: int = DEFAULT_WITNESS_BOUND):
-    """Doubling witness c with algebra = C(quat, c), or None.
-
-    None means the norm-subform test fails; if the test passes but no
-    witness exists within the search bound, the exhaustion is reported
-    rather than silently ignored.
-    """
+def embeds_quaternion(algebra: CompositionAlgebra, quat: CompositionAlgebra):
+    """Doubling scalar c with algebra = C(quat, c), or None when the norm
+    <<a, b>> of quat is not a subform.  A 3-fold Pfister form over Q is
+    fixed by its signature: c = 1 makes <<a, b, c>> hyperbolic, as for a
+    split algebra, and c = -1 keeps a definite <<a, b>> definite."""
     if algebra.dim != 8 or quat.dim != 4:
         raise DimensionMismatch("need an octonion algebra and a quaternion algebra")
     if not represents_subform(norm_form(algebra), norm_form(quat)):
         return None
-    a, b = (squarefree_class(p) for p in quat.params)
-    target = norm_form(algebra)
-    for c in square_class_candidates(bound):
-        if is_isometric(target, pfister([a, b, c])):
-            return c
-    raise WitnessSearchExhausted(
-        f"norm subform test passed but no doubling scalar with |c| <= {bound}"
-    )
+    c = 1 if is_split(algebra) else -1
+    if not is_isometric(norm_form(algebra), pfister([*quat.params, c])):
+        raise AssertionError(f"doubling {quat} by {c} does not give {algebra}")
+    return c
 
 
 def common_slot(d1, d2, quat: CompositionAlgebra, bound: int = DEFAULT_WITNESS_BOUND):

@@ -9,7 +9,10 @@ Over Q the verdict always comes from one of three complete rules:
 
 Every decision also runs the applicable independent rules (equal
 discriminant, biquadratic, hermitian lambda-criterion) as crosschecks;
-disagreement raises instead of being resolved by precedence.
+disagreement raises instead of being resolved by precedence.  Facts about
+C are computed once per decision.  Only the lambda is searched for: the
+common slot is a Hasse norm test (1, without doubling parameters, when no
+candidate passes), and the other witnesses follow from the signature.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import SquareClass, class_product, parse_rational, squarefree_class
+from .arith import SquareClass, class_product, is_norm, parse_rational, squarefree_class
 from .composition import (
     DEFAULT_WITNESS_BOUND,
     CompositionAlgebra,
-    common_slot,
     embeds_quadratic,
     embeds_quaternion,
     is_split,
@@ -78,7 +80,7 @@ class Verdict:
         }
 
 
-def _find_presentation(C: CompositionAlgebra, d: SquareClass):
+def _find_presentation(C: CompositionAlgebra, d: SquareClass, split: bool):
     """Parameters (b, c) with norm form <<d, b, c>>, for d embedding in C.
 
     Over Q a 3-fold Pfister form is hyperbolic at every prime, so it is
@@ -86,7 +88,7 @@ def _find_presentation(C: CompositionAlgebra, d: SquareClass):
     hyperbolic.  For anisotropic C the norm form is positive definite, so
     an embedding d is negative and <<d, -1, -1>> is positive definite too.
     """
-    b = c = 1 if is_split(C) else -1
+    b = c = 1 if split else -1
     if not is_isometric(pfister([d, b, c]), norm_form(C)):
         raise CrossCheckDisagreement(f"<<{d}, {b}, {c}>> is not the norm form of {C}")
     return b, c
@@ -99,6 +101,7 @@ def decide_over_Q(C: CompositionAlgebra, t: TorusType, height: int = DEFAULT_SEA
     d = t.kprime.d
     delta = cubic_discriminant(t.l)
     split = is_split(C)
+    kprime_embeds = embeds_quadratic(C, t.kprime)
 
     if split:
         decision, rule = YES, "R1"
@@ -122,29 +125,26 @@ def decide_over_Q(C: CompositionAlgebra, t: TorusType, height: int = DEFAULT_SEA
     if t.l.kind != "field":
         e = 1 if t.l.kind == "split" else t.l.e
         k1 = class_product(d, e)
-        k2 = d
-        ok1 = embeds_quadratic(C, QuadraticEtale(k1))
-        ok2 = embeds_quadratic(C, QuadraticEtale(k2))
-        bi = YES if (ok1 and ok2) else NO
+        k2 = d  # so k2 embeds iff k' does
+        bi = YES if (embeds_quadratic(C, QuadraticEtale(k1)) and kprime_embeds) else NO
         verdict.crosschecks.append(("biquadratic", bi))
         if bi != decision:
             raise CrossCheckDisagreement("biquadratic rule disagrees")
         if bi == YES and k1 != 1 and k2 != 1:
-            slot = common_slot(k1, k2, _target_quaternion(C, k1, k2))
-            if slot is not None:
-                verdict.witnesses["common_slot"] = slot
-                doubling = embeds_quaternion(C, CompositionAlgebra((k1, slot)))
-                if doubling is not None:
-                    verdict.witnesses["doubling_params"] = [k1, slot, doubling]
+            slot = _common_slot(split, k1, k2)
+            verdict.witnesses["common_slot"] = slot
+            doubling = embeds_quaternion(C, CompositionAlgebra((k1, slot)))
+            if doubling is not None:
+                verdict.witnesses["doubling_params"] = [k1, slot, doubling]
 
     # hermitian lambda-criterion
-    if not embeds_quadratic(C, t.kprime):
+    if not kprime_embeds:
         # condition (i) of the criterion is unsatisfiable
         verdict.crosschecks.append(("hermitian-criterion", NO))
         if decision == YES:
             raise CrossCheckDisagreement("hermitian criterion disagrees")
     else:
-        b, c = _find_presentation(C, d)
+        b, c = _find_presentation(C, d, split)
         found = lambda_witness_search(t.l, d, b, c, height)
         if found is not None:
             lam, t_form = found
@@ -159,21 +159,21 @@ def decide_over_Q(C: CompositionAlgebra, t: TorusType, height: int = DEFAULT_SEA
             verdict.crosschecks.append(("hermitian-criterion", INCONCLUSIVE))
 
     # monotone necessary condition: a YES type always splits C over k'
-    if decision == YES and not embeds_quadratic(C, t.kprime):
+    if decision == YES and not kprime_embeds:
         raise CrossCheckDisagreement("YES verdict without a quadratic embedding")
     return verdict
 
 
-def _target_quaternion(C, k1, k2):
-    """A quaternion subalgebra containing both quadratic algebras: search a
-    slot c making the (k1, c) norm a subform of the norm of C."""
-    target = norm_form(C)
+def _common_slot(split: bool, k1: SquareClass, k2: SquareClass) -> SquareClass:
+    """The first candidate c with (k1, c) = (k2, c) a quaternion subalgebra
+    of C, else 1.  They are isomorphic iff c is a norm from Q(sqrt(k1*k2));
+    by Pfister's subform theorem <<k1, c>> is a subform of a split norm
+    always, and of the definite one (where k1 < 0) iff c < 0."""
+    k = class_product(k1, k2)
     for c in square_class_candidates(DEFAULT_WITNESS_BOUND):
-        q = pfister([k1, c])
-        if is_isometric(q, pfister([k2, c])) and represents_subform(target, q):
-            return CompositionAlgebra((k1, c))
-    # fall back to the biquadratic default; common_slot will report None
-    return CompositionAlgebra((k1, 1 if k1 != 1 else -1))
+        if (c < 0 or split) and is_norm(k, c):
+            return c
+    return 1
 
 
 def decide_over_R(definite: bool, d: int, delta: int) -> Verdict:

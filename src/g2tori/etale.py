@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import isqrt
 
-from .arith import SquareClass, is_square_rational, squarefree_class
+from .arith import SquareClass, is_square_rational, parse_rational, squarefree_class
 from .quadforms import QuadForm, quadform_from_gram
 from .weyl import A3, IDENTITY_PERM, S3, WeylElement, det3, mat_mul, perm_sign, trace, weyl_element
 
@@ -150,7 +150,7 @@ def basis_mult_matrices(l: CubicEtale) -> tuple:
 
 
 def coerce_element(l: CubicEtale, lam) -> tuple[Fraction, Fraction, Fraction]:
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(parse_rational(x) for x in lam)
     if l.kind == "partial" and len(lam) == 2:
         lam = (lam[0], lam[1], Fraction(0))
     if len(lam) != 3:

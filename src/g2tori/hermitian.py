@@ -16,10 +16,9 @@ from math import isqrt
 from .arith import (
     SquareClass,
     class_product,
-    hilbert_symbol,
+    is_norm,
     parse_rational,
     rational_to_json,
-    relevant_places,
     squarefree_class,
 )
 from .etale import (
@@ -69,12 +68,7 @@ class HermitianForm:
 def has_trivial_discriminant(h: HermitianForm) -> bool:
     """Whether a1*a2*a3 is a norm from Q(sqrt(d)), i.e. (d, a1a2a3)_v = +1
     at every place."""
-    cls = squarefree_class(h.diag[0] * h.diag[1] * h.diag[2])
-    if h.d == 1:
-        return True
-    return all(
-        hilbert_symbol(h.d, cls, v) == 1 for v in relevant_places([h.d, cls])
-    )
+    return is_norm(h.d, squarefree_class(h.diag[0] * h.diag[1] * h.diag[2]))
 
 
 def normalize_trivial_disc(h: HermitianForm) -> tuple[SquareClass, SquareClass]:

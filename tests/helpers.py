@@ -6,8 +6,10 @@ irreducibility by sympy, isometry inputs by random congruence transforms,
 cyclic H^1 by the closed-form ker(Norm)/im(g-1), Gram diagonalization by
 Fraction Gauss elimination, transfer Gram matrices by Fraction matrix
 products, the lambda search by plain enumeration with no real-place
-certificate, and form invariants by all n(n-1)/2 Hilbert symbols of the
-entries and the square class of their raw product.
+certificate, form invariants by all n(n-1)/2 Hilbert symbols of the
+entries and the square class of their raw product, and the biquadratic
+witnesses (common slot, doubling parameters) by brute-force isometry and
+subform searches.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from g2tori.arith import (
     relevant_places,
     squarefree_class,
 )
+from g2tori.composition import norm_form, square_class_candidates
 from g2tori.etale import (
     CubicEtale,
     basis_mult_matrices,
@@ -33,7 +36,14 @@ from g2tori.etale import (
     transfer_tensors,
 )
 from g2tori.hermitian import check_condition_ii
-from g2tori.quadforms import FormInvariants, QuadForm, quadform_from_gram
+from g2tori.quadforms import (
+    FormInvariants,
+    QuadForm,
+    is_isometric,
+    pfister,
+    quadform_from_gram,
+    represents_subform,
+)
 from g2tori.weyl import (
     det3,
     identity_matrix,
@@ -353,3 +363,44 @@ def witt_from_invariants(inv: FormInvariants) -> tuple[int, int]:
         inv = FormInvariants(inv.dim - 2, disc, (pos - 1, neg - 1), hasse)
         index += 1
     return index, inv.dim
+
+
+def biquadratic_witnesses_by_search(C, t, bound=30) -> dict:
+    """The ``common_slot`` and ``doubling_params`` witnesses of a decision,
+    found by brute-force search over the squarefree candidates up to
+    ``bound``.
+
+    They exist when l is not a field and k1 = d*e and k2 = d are both
+    nontrivial and both embed in C.  First a target quaternion algebra
+    (k1, c): the first c with <<k1, c>> isometric to <<k2, c>> and a
+    subform of the norm of C, else (k1, 1).  Then the common slot: the
+    first c with <<k1, c>> and <<k2, c>> both isometric to the target's
+    norm.  Then the doubling scalar: when <<k1, slot>> is a subform of the
+    norm of C, the first c with <<k1, slot, c>> isometric to it.
+    """
+    if t.l.kind == "field":
+        return {}
+    d = t.kprime.d
+    k1, k2 = squarefree_class(d * (1 if t.l.kind == "split" else t.l.e)), d
+    target = norm_form(C)
+    if k1 == 1 or k2 == 1 or not all(represents_subform(target, QuadForm((1, -k))) for k in (k1, k2)):
+        return {}
+    candidates = list(square_class_candidates(bound))
+    quat = next(
+        (
+            pfister([k1, c])
+            for c in candidates
+            if is_isometric(pfister([k1, c]), pfister([k2, c])) and represents_subform(target, pfister([k1, c]))
+        ),
+        pfister([k1, 1]),
+    )
+    slot = next(
+        (c for c in candidates if is_isometric(pfister([k1, c]), quat) and is_isometric(pfister([k2, c]), quat)),
+        None,
+    )
+    if slot is None:
+        return {}
+    if not represents_subform(target, pfister([k1, slot])):
+        return {"common_slot": slot}
+    doubling = next(c for c in candidates if is_isometric(target, pfister([k1, slot, c])))
+    return {"common_slot": slot, "doubling_params": [k1, slot, doubling]}

@@ -15,6 +15,7 @@ from g2tori.arith import (
     class_product,
     hilbert_symbol,
     is_local_square,
+    is_norm,
     relevant_places,
     squarefree_class,
 )
@@ -191,6 +192,25 @@ def test_hilbert_product_formula():
         for v in relevant_places([a, b]):
             product *= hilbert_symbol(a, b, v)
         assert product == 1, (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10 ** 6), 10 ** 6).filter(bool),
+    st.integers(-(10 ** 6), 10 ** 6).filter(bool),
+)
+def test_is_norm_is_hilbert_trivial_at_every_relevant_place(a, b):
+    a, b = squarefree_class(a), squarefree_class(b)
+    expected = all(hilbert_symbol(a, b, v) == 1 for v in relevant_places([a, b]))
+    assert is_norm(a, b) == expected == is_norm(b, a)
+
+
+def test_is_norm_examples():
+    assert is_norm(1, -7)  # everything is a norm from Q x Q
+    assert is_norm(-1, 2) and is_norm(-1, 5)  # 1 + 1, 4 + 1
+    assert not is_norm(-1, -1)  # negative at the real place
+    assert not is_norm(-1, 3)  # (-1, 3)_3 = -1
+    assert is_norm(2, -1)  # 1 - 2
 
 
 def test_is_local_square():

@@ -12,6 +12,7 @@ from g2tori.composition import (
     basis_element,
     common_slot,
     conjugate,
+    element,
     element_from_json,
     element_to_json,
     embeds_quadratic,
@@ -145,6 +146,7 @@ def test_norm_examples_and_norm_form_agreement():
 
 def test_norm_form_examples():
     assert norm_form(CAYLEY).diag == (1,) * 8
+    assert norm_form(CAYLEY) is norm_form(CAYLEY)  # built once per algebra
     from g2tori.quadforms import is_isotropic
 
     assert is_isotropic(norm_form(CompositionAlgebra((1, 2, 3))))
@@ -252,3 +254,5 @@ def test_json_round_trip():
         CompositionAlgebra((0.1, -1, -1))
     with pytest.raises(ValueError):
         element_from_json(CompositionAlgebra((1, 2)), {"coords": [0.5, 0, 0, 0]})
+    with pytest.raises(ValueError):
+        element(CAYLEY, (0.1, 0, 0, 0, 0, 0, 0, 0))

@@ -1,10 +1,14 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2tori import engine, hermitian
 from g2tori.cli import _parse_cubic
+from g2tori.arith import squarefree_class
 from g2tori.composition import CompositionAlgebra, embeds_quadratic, is_split, norm_form
 from g2tori.engine import (
     INCONCLUSIVE,
@@ -21,6 +25,7 @@ from g2tori.engine import (
 from g2tori.etale import CubicEtale, QuadraticEtale, TorusType, cubic_discriminant, lambda_candidates
 from g2tori.hermitian import check_condition_ii, lambda_witness_search
 from g2tori.quadforms import QuadForm, is_isometric, pfister
+from helpers import biquadratic_witnesses_by_search
 
 CAYLEY = CompositionAlgebra((-1, -1, -1))
 SPLIT = CompositionAlgebra((1, 1, 1))
@@ -86,6 +91,46 @@ def test_certificates_round_trip():
         a, b_, c_ = v.witnesses["doubling_params"]
         assert is_isometric(norm_form(CAYLEY), pfister([a, b_, c_]))
         assert slot == b_
+
+
+@st.composite
+def octonion_algebras(draw):
+    """Anisotropic (every parameter negative) or, mostly, split octonion
+    algebras, with integer or Fraction parameters."""
+    anisotropic = draw(st.booleans())
+    params = []
+    for _ in range(3):
+        x = Fraction(draw(st.integers(1, 60)), draw(st.sampled_from((1, 1, 2, 3, 4, 9, 10))))
+        params.append(-x if anisotropic or draw(st.booleans()) else x)
+    return CompositionAlgebra(tuple(params))
+
+
+@st.composite
+def biquadratic_types(draw):
+    """Types with a split or partially split cubic, classes up to 10**6."""
+    nonzero = st.integers(-(10 ** 6), 10 ** 6).filter(bool)
+    d = draw(nonzero)
+    e = draw(nonzero.filter(lambda e: squarefree_class(e) != 1) | st.just(1))
+    return _type(d, CubicEtale.split() if e == 1 else CubicEtale.partial(e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(octonion_algebras(), biquadratic_types())
+def test_biquadratic_witnesses_match_the_search(C, t):
+    v = decide_over_Q(C, t, height=1)
+    got = {key: v.witnesses[key] for key in ("common_slot", "doubling_params") if key in v.witnesses}
+    assert got == biquadratic_witnesses_by_search(C, t)
+
+
+def test_common_slot_fallback_has_no_doubling_params():
+    # no negative candidate up to 30 is a norm from Q(sqrt(635019)), so the
+    # slot falls back to 1, and <<k1, 1>> is not a subform of a definite norm
+    t = TorusType(QuadraticEtale(-17), CubicEtale.partial(635019))
+    v = decide_over_Q(CAYLEY, t, height=2)
+    assert v.decision == YES
+    assert v.witnesses["common_slot"] == 1
+    assert "doubling_params" not in v.witnesses
+    assert biquadratic_witnesses_by_search(CAYLEY, t) == {"common_slot": 1}
 
 
 def test_decide_with_fractional_parameters():
@@ -222,7 +267,7 @@ def test_real_place_certificate_fires_on_the_inconclusive_grid_instances(monkeyp
 def test_presentation_is_the_first_search_hit(params, d):
     C = CompositionAlgebra(params)
     assert embeds_quadratic(C, QuadraticEtale(d))
-    b, c = _find_presentation(C, d)
+    b, c = _find_presentation(C, d, is_split(C))
     assert (b, c) == ((1, 1) if is_split(C) else (-1, -1))
     # the brute-force search over the candidates 1, -1, 2, -2 finds it first
     candidates = (1, -1, 2, -2)

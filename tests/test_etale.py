@@ -151,6 +151,9 @@ def test_trace_transfer_examples():
     assert trace_transfer_form(X3_3X_1, (1, 0, 0)) == QuadForm((3, 6, 2))
     q = trace_transfer_form(CubicEtale.partial(5), (1, 1))
     assert q == QuadForm((1, 2, 10))
+    # a float coordinate is rejected, not read as its binary value
+    with pytest.raises(ValueError):
+        trace_transfer_form(CubicEtale.split(), (0.5, 1, 1))
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import g2tori
 import g2tori.hermitian as hermitian_module
-from g2tori.composition import CompositionAlgebra, from_hermitian, norm_form
+from g2tori.composition import CompositionAlgebra, from_hermitian, is_split, norm_form
 from g2tori.engine import CrossCheckDisagreement, _find_presentation
 from g2tori.etale import CubicEtale
 from g2tori.hermitian import (
@@ -191,7 +191,8 @@ def presentations(draw):
     d = draw(st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 7, -7]))
     if draw(st.booleans()):
         try:
-            return (d, *_find_presentation(draw(st.sampled_from(GRID_ALGEBRAS)), d))
+            C = draw(st.sampled_from(GRID_ALGEBRAS))
+            return (d, *_find_presentation(C, d, is_split(C)))
         except CrossCheckDisagreement:
             assume(False)  # d does not embed in the anisotropic algebra
     b, c = (draw(st.sampled_from([1, -1, 2, -2, 3, -3])) for _ in range(2))
